@@ -16,13 +16,20 @@ import copy
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import npn
 from .pc import PcSignature, pc_signature
-from .spinsim import PulseSequence, SpinSystem, document_from_dict, read_mx, run_sequence
+from .spinsim import (
+    PulseSequence,
+    SpinSystem,
+    check_document_fields,
+    document_from_dict,
+    read_mx,
+    run_sequence,
+)
 from .ternary import TernaryFunction
 
 RAW_SLACK = 1e-9
@@ -32,7 +39,12 @@ RAW_SLACK = 1e-9
 class Quantizer:
     """Threshold map from readout to {-1, 0, +1}: magnitudes below epsilon
     become 0, everything else keeps its sign.  Readouts beyond saturation
-    (plus slack) indicate a simulator contract violation, not a logic value."""
+    (plus slack) indicate a simulator contract violation, not a logic value.
+
+    ``saturation`` bounds the readout of one peak.  When a template's
+    experiments are quantized, the bound is scaled by the template's peak
+    count, since the readout sums one transverse component per peak; the
+    threshold ``epsilon`` is never scaled."""
 
     epsilon: float = 0.25
     saturation: float = 1.0
@@ -61,9 +73,11 @@ class SequenceTemplate:
     """Pulse-sequence document with exactly two free parameters, $A and $B."""
 
     def __init__(self, document: dict):
+        check_document_fields(document)
         self.document = copy.deepcopy(document)
+        self.peak_count = len(self.document["peaks"])
         found = set()
-        for element in self.document.get("sequence", []):
+        for element in self.document["sequence"]:
             for key, value in element.items():
                 if isinstance(value, str) and value.startswith("$") and key != "type":
                     if value not in PLACEHOLDERS:
@@ -163,6 +177,11 @@ class ExperimentTable:
     logic: TernaryFunction
 
 
+def _template_quantizer(template: SequenceTemplate, q: Quantizer) -> Quantizer:
+    """``q`` with its per-peak saturation scaled to the template's summed readout."""
+    return replace(q, saturation=q.saturation * template.peak_count)
+
+
 def evaluate_table(
     template: SequenceTemplate,
     a_vals,
@@ -174,6 +193,7 @@ def evaluate_table(
     if len(a_vals) != 3 or len(b_vals) != 3:
         raise ValueError("evaluate_table needs exactly 3 values per parameter")
     raw = tuple(tuple(template.run(a, b) for b in b_vals) for a in a_vals)
+    q = _template_quantizer(template, q)
     logic = TernaryFunction.from_rows([[quantize(x, q) for x in row] for row in raw])
     return ExperimentTable(a_vals, b_vals, raw, logic)
 
@@ -192,6 +212,7 @@ class SearchHit:
 
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
     """Digit (value + 1) readout for every grid point; triples index into this."""
+    q = _template_quantizer(template, q)
     digits = np.empty((len(grid_a), len(grid_b)), dtype=np.uint8)
     for i, a in enumerate(grid_a):
         for j, b in enumerate(grid_b):
@@ -199,20 +220,72 @@ def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) ->
     return digits
 
 
-def _table_indices(digits: np.ndarray) -> tuple[np.ndarray, list, list, np.ndarray]:
-    """Function index of every ascending-triple pair drawn from the grid."""
+# b-triples per step of the class count; the step's working memory is about
+# 6 kB per triple (one 729-cell outer product each), whatever the grid size.
+COUNT_CHUNK = 2048
+# Triple pairs scored per block of a-triples in ``search`` (at least one
+# a-triple per block).
+SEARCH_BLOCK_PAIRS = 1 << 18
+_CODES = 27  # row codes: a table row of three digits read in base 3
+
+
+def _triples(n: int, size: int):
+    """Ascending index triples of range(n) in lexicographic order, as
+    (k, 3) arrays of at most ``size`` rows."""
+    combos = itertools.combinations(range(n), 3)
+    while chunk := list(itertools.islice(combos, size)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _row_codes(digits: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row code (0..26) of every grid row under every b-triple: the digits
+    at the triple's three columns, read as a little-endian base-3 number.
+    The table of a-triple (i, j, k) and b-triple l has function index
+    ``code[i, l] + 27*code[j, l] + 729*code[k, l]``."""
+    return digits[..., b[:, 0]] + 3 * digits[..., b[:, 1]] + 9 * digits[..., b[:, 2]]
+
+
+def _class_counts(digits: np.ndarray) -> dict[int, int]:
+    """Canonical index -> number of (a-triple, b-triple) pairs of the digit
+    grid whose table lies in that class.
+
+    Permuting a table's rows does not change its class, so for a fixed
+    b-triple the class of an a-triple depends only on its three row codes.
+    A b-triple whose histogram of row codes over the n rows is h contributes
+    h_x*(h_y - [y=x])*(h_z - [z=x] - [z=y]) ordered triples of distinct rows
+    with codes (x, y, z).  Summed over b-triples, that is the triple product
+    of the histograms less pair products on the diagonals plus twice the
+    single counts on the main diagonal.  Each unordered a-triple appears six
+    times in the result, once per row order, all in the same class."""
     n, m = digits.shape
-    if n < 3 or m < 3:
-        raise ValueError(f"grids need at least 3 points each, got {n} and {m}")
-    a_combos = list(itertools.combinations(range(n), 3))
-    b_combos = list(itertools.combinations(range(m), 3))
-    ai = np.array(a_combos, dtype=np.intp)
-    bi = np.array(b_combos, dtype=np.intp)
-    sub = digits[ai[:, None, :, None], bi[None, :, None, :]].astype(np.int64)
-    powers = 3 ** (3 * np.arange(3, dtype=np.int64)[:, None] + np.arange(3, dtype=np.int64))
-    indices = (sub * powers[None, None]).sum(axis=(2, 3))
-    canon = npn.canonical_map(3)[indices]
-    return indices, a_combos, b_combos, canon
+    # float64 matrix products are exact while every partial sum is an integer below 2**53
+    if COUNT_CHUNK * n**3 >= 2**53:
+        raise ValueError(f"grid of {n} a-values is too large to count exactly")
+    triple = np.zeros((_CODES,) * 3, dtype=np.int64)
+    pair = np.zeros((_CODES, _CODES), dtype=np.int64)
+    single = np.zeros(_CODES, dtype=np.int64)
+    for b in _triples(m, COUNT_CHUNK):
+        k = len(b)
+        bins = _row_codes(digits, b).T + _CODES * np.arange(k)[:, None]
+        hist = np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
+        h = hist.astype(np.float64)
+        outer = (h[:, :, None] * h[:, None, :]).reshape(k, _CODES * _CODES)
+        triple += (outer.T @ h).astype(np.int64).reshape(triple.shape)
+        pair += (h.T @ h).astype(np.int64)
+        single += hist.sum(axis=0)
+    diag = np.arange(_CODES)
+    triple[diag, diag, :] -= pair
+    triple[:, diag, diag] -= pair
+    triple[diag, :, diag] -= pair
+    triple[diag, diag, diag] += 2 * single
+    # cell (x, y, z) holds rows with codes x, y, z: function index x + 27y + 729z
+    ordered = triple.transpose(2, 1, 0).ravel()
+    per_class = np.zeros(ordered.size, dtype=np.int64)
+    np.add.at(per_class, npn.canonical_map(3), ordered)
+    if (per_class % 6).any():
+        raise AssertionError("ordered triple counts are not a multiple of the 6 row orders")
+    hit = np.flatnonzero(per_class)
+    return dict(zip(hit.tolist(), (per_class[hit] // 6).tolist()))
 
 
 def search(
@@ -225,28 +298,39 @@ def search(
     """All ascending triple choices whose table lands in a target class,
     in lexicographic triple order.  ``targets`` holds function indices; each
     is resolved to its canonical representative first.  An empty result is a
-    valid answer (the template cannot realize the targets on these grids)."""
+    valid answer (the template cannot realize the targets on these grids).
+
+    Tables are scored in blocks of a-triples against every b-triple, so the
+    working memory is bounded by SEARCH_BLOCK_PAIRS pairs (or one a-triple's
+    C(m,3) pairs, if that is more) plus the hits themselves."""
     grid_a, grid_b = tuple(grid_a), tuple(grid_b)
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
     if not targets:
         return []
-    wanted = np.array(sorted({npn.canonical_index(t) for t in targets}), dtype=np.int64)
+    canon = npn.canonical_map(3)
+    wanted = np.isin(canon, [npn.canonical_index(t) for t in targets])
     digits = _quantized_grid(template, grid_a, grid_b, q)
-    indices, a_combos, b_combos, canon = _table_indices(digits)
-    mask = np.isin(canon, wanted)
+    b_triples = np.array(list(itertools.combinations(range(len(grid_b)), 3)), dtype=np.intp)
+    block = max(1, SEARCH_BLOCK_PAIRS // len(b_triples))
     classes: dict[int, npn.NpnClass] = {}
     hits = []
-    for k, l in zip(*np.nonzero(mask)):
-        c = int(canon[k, l])
-        hits.append(
-            SearchHit(
-                tuple(grid_a[i] for i in a_combos[k]),
-                tuple(grid_b[j] for j in b_combos[l]),
-                int(indices[k, l]),
-                classes.setdefault(c, npn.orbit(c)),
+    for a_triples in _triples(len(grid_a), block):
+        codes = _row_codes(digits[a_triples], b_triples).astype(np.intp)
+        indices = codes[:, 0] + 27 * codes[:, 1] + 729 * codes[:, 2]
+        for k, l in zip(*np.nonzero(wanted[indices])):
+            index = int(indices[k, l])
+            c = int(canon[index])
+            if c not in classes:
+                classes[c] = npn.orbit(c)
+            hits.append(
+                SearchHit(
+                    tuple(grid_a[i] for i in a_triples[k]),
+                    tuple(grid_b[j] for j in b_triples[l]),
+                    index,
+                    classes[c],
+                )
             )
-        )
     return hits
 
 
@@ -257,11 +341,13 @@ def achievable_classes(
     q: Quantizer = Quantizer(),
 ) -> dict[int, int]:
     """Canonical index -> number of triple pairs realizing that class, over
-    every ascending triple choice from the grids."""
+    every ascending triple choice from the grids.
+
+    Counted from row-code histograms (see ``_class_counts``) rather than
+    pair by pair: the cost is about O(C(m,3) * (n + 27**3)) for n values of
+    $A and m of $B, instead of O(C(n,3) * C(m,3)), and the working memory is
+    fixed by COUNT_CHUNK, whatever the grid size."""
     grid_a, grid_b = tuple(grid_a), tuple(grid_b)
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
-    digits = _quantized_grid(template, grid_a, grid_b, q)
-    _, _, _, canon = _table_indices(digits)
-    values, counts = np.unique(canon, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    return _class_counts(_quantized_grid(template, grid_a, grid_b, q))

@@ -284,6 +284,40 @@ def _number(doc: dict, key: str, where: str) -> float:
     return float(value)
 
 
+PEAK_FIELDS = ("label", "offset_rad_s", "t1_s")
+ELEMENT_FIELDS = {
+    "hard_pulse": ("type", "beta", "phi"),
+    "selective_pulse": ("type", "beta", "phi", "target_offset", "tolerance"),
+    "delay": ("type", "tau"),
+}
+
+
+def _check_fields(entry, allowed: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ValueError(f"{where} has unknown field(s) {unknown}; allowed: {list(allowed)}")
+
+
+def check_document_fields(doc: dict) -> None:
+    """Reject a document whose peaks or elements carry a field the schema
+    does not define, or whose element type is unknown.  Field values are
+    checked when the document is parsed, since a template fills some in
+    later."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"document must be an object, got {doc!r}")
+    for key in ("peaks", "sequence"):
+        entries = _require(doc, key, "document")
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError(f"document field {key!r} must be a list of objects")
+    for peak in doc["peaks"]:
+        _check_fields(peak, PEAK_FIELDS, "peak")
+    for element in doc["sequence"]:
+        kind = _require(element, "type", "sequence element")
+        if not isinstance(kind, str) or kind not in ELEMENT_FIELDS:
+            raise ValueError(f"unknown sequence element type {kind!r}")
+        _check_fields(element, ELEMENT_FIELDS[kind], kind)
+
+
 def element_from_dict(doc: dict) -> SequenceElement:
     kind = _require(doc, "type", "sequence element")
     if kind == "hard_pulse":

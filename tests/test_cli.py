@@ -210,6 +210,53 @@ def test_search_all_reports_every_class(capsys):
     assert any(line.startswith(f"{mult_canon},54,true,") for line in lines[1:])
 
 
+def test_search_all_on_a_60_point_grid_counts_every_pair(capsys):
+    grid = "lin:0:6.283185307179586:60"
+    code, out, err = run(
+        capsys, "search", "--sequence", "single-pulse", "--grid-a", grid, "--grid-b", grid,
+        "--target", "all",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 84
+    assert sum(int(r[3]) for r in rows) == math.comb(60, 3) ** 2 == 1_171_008_400
+
+
+def test_template_file_with_unknown_field_exits_2(tmp_path, capsys):
+    doc = {
+        "peaks": [{"label": "s", "offset_rad_s": 0.0}],
+        "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B", "bogus": 1}],
+    }
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("simulate", "search"):
+        extra = ("--target", "all") if command == "search" else ()
+        code, out, err = run(
+            capsys, command, "--sequence", str(path), "--grid-a", TRIPLE_CSV,
+            "--grid-b", TRIPLE_CSV, *extra,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "bogus" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_search_two_peak_template_file(tmp_path, capsys):
+    doc = {
+        "peaks": [{"label": "A", "offset_rad_s": 0.0}, {"label": "B", "offset_rad_s": 5.0}],
+        "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}],
+    }
+    path = tmp_path / "two_peaks.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys, "search", "--sequence", str(path), "--grid-a", TRIPLE_CSV,
+        "--grid-b", TRIPLE_CSV, "--target", "multiplication",
+    )
+    assert code == 0, err
+    mult = encode(multiplication())
+    assert out.strip().splitlines()[1].endswith(f",{mult},{npn.canonical_index(mult)},54")
+
+
 def test_complex_mul(capsys):
     code, out, _ = run(capsys, "complex", "mul", "1", "0", "0.5", "1.5707963267948966")
     assert code == 0

@@ -1,8 +1,12 @@
+import itertools
 import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlogic import npn, pc, search
 from spinlogic.search import (
@@ -200,3 +204,120 @@ def test_experiment_table_is_frozen_consistent():
     for i in range(3):
         for j in range(3):
             assert table.logic.rows()[i][j] == quantize(table.raw[i][j], q)
+
+
+# --- class counts and hits against the pair-by-pair brute force ----------------
+
+
+def _table_indices(digits):
+    """Brute-force oracle: function index of every (a-triple, b-triple) pair,
+    as a (C(n,3), C(m,3)) array in lexicographic triple order."""
+    n, m = digits.shape
+    ai = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp)
+    bi = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp)
+    sub = digits[ai[:, None, :, None], bi[None, :, None, :]].astype(np.int64)
+    powers = 3 ** (3 * np.arange(3, dtype=np.int64)[:, None] + np.arange(3, dtype=np.int64))
+    return (sub * powers[None, None]).sum(axis=(2, 3))
+
+
+@st.composite
+def digit_grids(draw):
+    n, m = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(("random", "constant", "repeated_rows")))
+    if kind == "constant":
+        return np.full((n, m), draw(st.integers(0, 2)), dtype=np.uint8)
+    row = st.lists(st.integers(0, 2), min_size=m, max_size=m)
+    if kind == "repeated_rows":
+        rows = draw(st.lists(row, min_size=1, max_size=3))
+        picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+        return np.array([rows[i] for i in picks], dtype=np.uint8)
+    return np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_grids())
+def test_histogram_counts_equal_pairwise_counts(digits):
+    values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
+    got = search._class_counts(digits)
+    assert got == dict(zip(values.tolist(), counts.tolist()))
+    n, m = digits.shape
+    assert sum(got.values()) == math.comb(n, 3) * math.comb(m, 3)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7, 1 << 18])
+def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, block_pairs):
+    monkeypatch.setattr(search, "SEARCH_BLOCK_PAIRS", block_pairs)
+    rng = random.Random(4)
+    tpl = single_pulse_template()
+    grid_a = sorted(rng.uniform(0, 2 * math.pi) for _ in range(9)) + list(TRIPLE)
+    grid_b = list(TRIPLE) + sorted(rng.uniform(0, 2 * math.pi) for _ in range(6))
+    targets = {encode(multiplication()), 0}
+    hits = search.search(tpl, grid_a, grid_b, targets=targets)
+
+    indices = _table_indices(search._quantized_grid(tpl, grid_a, grid_b, Quantizer()))
+    wanted = [npn.canonical_index(t) for t in targets]
+    a_combos = list(itertools.combinations(grid_a, 3))
+    b_combos = list(itertools.combinations(grid_b, 3))
+    expected = [
+        (a_combos[k], b_combos[l], int(indices[k, l]))
+        for k, l in zip(*np.nonzero(np.isin(npn.canonical_map(3)[indices], wanted)))
+    ]
+    assert expected
+    assert [(h.a_values, h.b_values, h.index) for h in hits] == expected
+
+
+def test_search_computes_each_class_orbit_once(monkeypatch):
+    calls = []
+    orbit = npn.orbit
+
+    def counting_orbit(index, radix=3):
+        calls.append(index)
+        return orbit(index, radix)
+
+    monkeypatch.setattr(npn, "orbit", counting_orbit)
+    grid = sorted({0.3, math.pi / 2, 2.0, math.pi, 4.0, 3 * math.pi / 2, 5.5, 6.0})
+    hits = search.search(single_pulse_template(), grid, grid, targets={encode(multiplication())})
+    assert len(hits) > 1
+    assert calls == [npn.canonical_index(encode(multiplication()))]
+    assert len({id(h.npn_class) for h in hits}) == 1
+
+
+# --- template contract -----------------------------------------------------------
+
+
+def _two_peak_template():
+    return SequenceTemplate(
+        {
+            "peaks": [{"label": "A", "offset_rad_s": 0.0}, {"label": "B", "offset_rad_s": 5.0}],
+            "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}],
+        }
+    )
+
+
+def test_readout_bound_scales_with_peak_count():
+    tpl = _two_peak_template()
+    assert tpl.peak_count == 2
+    table = evaluate_table(tpl, TRIPLE, TRIPLE)
+    assert table.raw[0][0] == pytest.approx(2.0)
+    # the threshold is not scaled: the summed readouts 2*sin(a)*sin(b) still
+    # quantize to their signs
+    assert table.logic == multiplication()
+    grid = [0.0, *TRIPLE, 5.0]
+    counts = achievable_classes(tpl, grid, grid)
+    assert sum(counts.values()) == math.comb(5, 3) ** 2
+    # the bound is per peak: a readout beyond saturation * peaks is still rejected
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_table(tpl, TRIPLE, TRIPLE, Quantizer(saturation=0.5))
+
+
+def test_template_rejects_unknown_fields():
+    element = {"type": "hard_pulse", "beta": "$A", "phi": "$B"}
+    peak = {"label": "s", "offset_rad_s": 0.0}
+    with pytest.raises(ValueError, match="bogus"):
+        SequenceTemplate({"peaks": [peak], "sequence": [{**element, "bogus": 1}]})
+    with pytest.raises(ValueError, match="t1"):
+        SequenceTemplate({"peaks": [{**peak, "t1": 2.0}], "sequence": [element]})
+    with pytest.raises(ValueError, match="warp"):
+        SequenceTemplate({"peaks": [peak], "sequence": [element, {"type": "warp", "tau": "$B"}]})
+    with pytest.raises(ValueError, match="list"):
+        SequenceTemplate({"peaks": peak, "sequence": [element]})

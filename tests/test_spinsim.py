@@ -276,3 +276,19 @@ def test_document_parse_errors():
                 "sequence": [{"type": "delay", "tau": "soon"}],
             }
         )
+
+
+def test_document_fields_match_the_schema():
+    system = SpinSystem((Peak("A", 100.0, t1=7.6), Peak("B", 200.0)))
+    sequence = PulseSequence(
+        (SelectivePulse(math.pi / 2, math.pi / 2, 100.0, 25.0), Delay(0.01), HardPulse(math.pi, 0.0))
+    )
+    doc = document_to_dict(system, sequence)
+    spinsim.check_document_fields(doc)
+    for kind, fields in spinsim.ELEMENT_FIELDS.items():
+        assert set(fields) == set(next(e for e in doc["sequence"] if e["type"] == kind))
+    doc["sequence"][1]["bogus"] = 1
+    with pytest.raises(ValueError, match="delay has unknown field"):
+        spinsim.check_document_fields(doc)
+    with pytest.raises(ValueError, match="must be an object"):
+        spinsim.check_document_fields([])
