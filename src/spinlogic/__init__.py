@@ -12,14 +12,12 @@ Subpackages:
 - :mod:`spinlogic.cli` -- command-line surface
 """
 
-from .ternary import TernaryFunction, decode, encode, enumerate_all, evaluate, multiplication
+from .ternary import TernaryFunction, decode, encode, multiplication
 
 __all__ = [
     "TernaryFunction",
     "decode",
     "encode",
-    "enumerate_all",
-    "evaluate",
     "multiplication",
 ]
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import complexlogic, npn, pc, search as search_mod
-from .ternary import NUM_FUNCTIONS, decode, encode, multiplication
+from .ternary import encode, multiplication
 
 
 def _fmt(x: float) -> str:
@@ -59,68 +59,46 @@ def _resolve_template(args) -> search_mod.SequenceTemplate:
 # --- classify ---------------------------------------------------------------
 
 
-def _ternary_table(canonical: int) -> list[list[int]]:
-    return [list(row) for row in decode(canonical).rows()]
-
-
-def _binary_table(canonical: int) -> list[list[int]]:
-    return [list(row) for row in pc.binary_grid(canonical)]
-
-
 def _classify_report(radix: int) -> dict:
-    if radix == 3:
-        classes = npn.classify_all()
-        pc_classes = [
-            {
-                "signature": [list(c.signature.first), list(c.signature.second)],
-                "member_count": c.size,
-                "npn_canonicals": list(c.npn_canonicals),
-                "single_npn": c.single_npn,
-            }
-            for c in pc.pc_classify_all()
-        ]
-        table_of = _ternary_table
-        functions = NUM_FUNCTIONS
-        # every NPN class must land in exactly one PC class
-        pc_matches = sum(len(c["npn_canonicals"]) for c in pc_classes) == len(classes)
-        expected_classes = 84
-    else:
-        classes = npn.classify_binary()
-        report = pc.pc_binary_check()
-        canon = npn.canonical_map(2)
-        pc_classes = [
-            {
-                "signature": [list(sig.first), list(sig.second)],
-                "member_count": len(members),
-                "members": list(members),
-                "npn_canonicals": sorted({int(canon[i]) for i in members}),
-                "single_npn": len({int(canon[i]) for i in members}) == 1,
-            }
-            for sig, members in report.pc_classes
-        ]
-        table_of = _binary_table
-        functions = 16
-        pc_matches = report.matches
-        expected_classes = 4
-
+    expected_npn, expected_pc = {2: (4, 4), 3: (84, 33)}[radix]
+    values = {2: (0, 1), 3: (-1, 0, 1)}[radix]
+    functions = radix ** (radix * radix)
+    classes = npn.classify_all(radix)
+    pc_classes = [
+        {
+            "signature": [list(c.signature.first), list(c.signature.second)],
+            "member_count": c.size,
+            "npn_canonicals": list(c.npn_canonicals),
+            "single_npn": c.single_npn,
+        }
+        for c in pc.pc_classify_all(radix)
+    ]
+    # every NPN class must land in exactly one PC class
+    pc_consistent = sum(len(c["npn_canonicals"]) for c in pc_classes) == len(classes)
     burnside = npn.burnside_count(radix)
     total = sum(c.size for c in classes)
     checks_pass = (
-        len(classes) == expected_classes
+        len(classes) == expected_npn
+        and len(pc_classes) == expected_pc
         and total == functions
         and burnside == len(classes)
-        and pc_matches
+        and pc_consistent
     )
+
+    def table(canonical: int) -> list[list[int]]:
+        digits = npn.digits_of_index(canonical, radix)
+        return [[values[d] for d in digits[i : i + radix]] for i in range(0, radix * radix, radix)]
+
     return {
         "radix": radix,
         "function_count": functions,
         "npn_class_count": len(classes),
         "burnside_count": burnside,
         "pc_class_count": len(pc_classes),
-        "pc_consistent": pc_matches,
+        "pc_consistent": pc_consistent,
         "self_check": "pass" if checks_pass else "fail",
         "npn_classes": [
-            {"canonical": c.canonical, "size": c.size, "table": table_of(c.canonical)}
+            {"canonical": c.canonical, "size": c.size, "table": table(c.canonical)}
             for c in classes
         ],
         "pc_classes": pc_classes,
@@ -145,8 +123,8 @@ def _classify_text(report: dict) -> str:
     lines.append("pc signature        members  kind     npn classes")
     for c in report["pc_classes"]:
         sig = ",".join(map(str, c["signature"][0])) + "|" + ",".join(map(str, c["signature"][1]))
-        spanned = c.get("npn_canonicals", c.get("members", []))
-        kind = "single" if len(spanned) == 1 else "overlap"
+        spanned = c["npn_canonicals"]
+        kind = "single" if c["single_npn"] else "overlap"
         lines.append(f"{sig:<18}  {c['member_count']:>7d}  {kind:<7}  {' '.join(map(str, spanned))}")
     return "\n".join(lines) + "\n"
 
@@ -172,8 +150,8 @@ def _classify_csv(report: dict) -> str:
     for c in report["pc_classes"]:
         first = ";".join(map(str, c["signature"][0]))
         second = ";".join(map(str, c["signature"][1]))
-        spanned = c.get("npn_canonicals", c.get("members", []))
-        kind = "single" if len(spanned) == 1 else "overlap"
+        spanned = c["npn_canonicals"]
+        kind = "single" if c["single_npn"] else "overlap"
         lines.append(f"{first},{second},{c['member_count']},{kind},{';'.join(map(str, spanned))}")
     return "\n".join(lines) + "\n"
 

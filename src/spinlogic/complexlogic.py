@@ -21,32 +21,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .spinsim import (
+    TWO_PI,
     Delay,
     HardPulse,
     Peak,
     PulseSequence,
     SpinSystem,
+    normalize_phase,
     read_complex,
     run_sequence,
 )
 
-TWO_PI = 2.0 * math.pi
-
 _R_SLACK = 1e-9
 _ZERO_MAGNITUDE = 1e-12
-
-
-def normalize_phase(theta: float) -> float:
-    """Reduce a finite angle into [0, 2*pi)."""
-    if not math.isfinite(theta):
-        raise ValueError(f"phase must be finite, got {theta!r}")
-    theta = theta % TWO_PI
-    if theta >= TWO_PI:  # float fold-up of tiny negatives
-        theta = 0.0
-    return theta
 
 
 @dataclass(frozen=True)
@@ -103,33 +92,6 @@ def mnot(z: ComplexSample) -> ComplexSample:
     return ComplexSample(1.0 - z.r, z.theta)
 
 
-PhaseRule = Callable[[float, float], float]
-MagnitudeRule = Callable[[float, float], float]
-
-
-def _phase_sum(theta1: float, theta2: float) -> float:
-    return theta1 + theta2
-
-
-def _magnitude_product(r1: float, r2: float) -> float:
-    return r1 * r2
-
-
-def mand(z1: ComplexSample, z2: ComplexSample, theta_rule: PhaseRule = _phase_sum) -> ComplexSample:
-    """Magnitude-logic AND: product of magnitudes; the result phase is a
-    pluggable rule, defaulting to phase addition so that mand is the
-    magnitude half of complex multiplication."""
-    return ComplexSample(z1.r * z2.r, theta_rule(z1.theta, z2.theta))
-
-
-def pxnor(
-    z1: ComplexSample, z2: ComplexSample, r_rule: MagnitudeRule = _magnitude_product
-) -> ComplexSample:
-    """Phase-logic XNOR: phases add modulo 2*pi; the result magnitude is a
-    pluggable rule, defaulting to the product."""
-    return ComplexSample(r_rule(z1.r, z2.r), z1.theta + z2.theta)
-
-
 def conjugate_truth_check(theta: float) -> bool:
     """A phase and its conjugate phase carry the same fuzzy truth."""
     theta = normalize_phase(theta)
@@ -137,7 +99,9 @@ def conjugate_truth_check(theta: float) -> bool:
 
 
 def complex_multiply_via_logic(z1: ComplexSample, z2: ComplexSample) -> ComplexSample:
-    """Complex multiplication decomposed as magnitude AND plus phase XNOR."""
+    """Complex multiplication decomposed as magnitude AND plus phase XNOR:
+    the magnitudes multiply (fuzzy AND on ``r``) and the phases add modulo
+    2*pi (XNOR on phase truth)."""
     return ComplexSample(z1.r * z2.r, z1.theta + z2.theta)
 
 

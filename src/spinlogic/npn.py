@@ -233,25 +233,19 @@ def canonical_map(radix: int = 3) -> np.ndarray:
 
 def canonical_index(index: int, radix: int = 3) -> int:
     """Canonical representative of the class containing ``index``."""
+    count = radix ** (radix * radix)
+    if not 0 <= index < count:
+        raise ValueError(f"function index must be in [0, {count - 1}], got {index}")
     return int(canonical_map(radix)[index])
 
 
-def _classify(radix: int) -> list[NpnClass]:
+def classify_all(radix: int = 3) -> list[NpnClass]:
+    """Partition every function of the radix (19,683 ternary, 16 binary)
+    into equivalence classes, sorted by canonical index."""
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(canonical_map(radix).tolist()):
         groups.setdefault(c, []).append(i)
     return [NpnClass(c, tuple(members), radix) for c, members in sorted(groups.items())]
-
-
-def classify_all() -> list[NpnClass]:
-    """Partition all 19,683 ternary functions into equivalence classes,
-    sorted by canonical index."""
-    return _classify(3)
-
-
-def classify_binary() -> list[NpnClass]:
-    """Same machinery specialized to the 16 two-input binary gates."""
-    return _classify(2)
 
 
 def fixed_point_counts(radix: int = 3) -> list[int]:

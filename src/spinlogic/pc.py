@@ -5,8 +5,9 @@ values per row and per column, taken in either order.  The signature is
 invariant under every relabelling transform (output permutations preserve
 distinct counts, input permutations shuffle whole rows or columns, and an
 input swap exchanges the two multisets), so each equivalence class from
-:mod:`spinlogic.npn` lies wholly inside one PC class; some PC classes merge
-several of them.
+:mod:`spinlogic.npn` lies wholly inside one PC class.  For ternary functions
+some PC classes merge several of them (84 equivalence classes fall into 33
+PC classes); for binary gates the two partitions coincide.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import npn
-from .ternary import NUM_FUNCTIONS, TernaryFunction, decode
+from .ternary import TernaryFunction
 
 
 @dataclass(frozen=True)
@@ -68,57 +71,33 @@ class PcClass:
         return len(self.npn_canonicals) == 1
 
 
-def pc_classify_all() -> list[PcClass]:
-    """Partition all 19,683 ternary functions by PC signature, each class
-    annotated with the NPN canonicals occurring among its members; sorted by
-    normalized signature."""
-    canon = npn.canonical_map(3)
-    members: dict[PcSignature, list[int]] = {}
-    canonicals: dict[PcSignature, set[int]] = {}
-    for i in range(NUM_FUNCTIONS):
-        sig = pc_signature(decode(i))
-        members.setdefault(sig, []).append(i)
-        canonicals.setdefault(sig, set()).add(int(canon[i]))
-    return [
-        PcClass(sig, tuple(members[sig]), tuple(sorted(canonicals[sig])))
-        for sig in sorted(members, key=lambda s: (s.first, s.second))
-    ]
+def pc_classify_all(radix: int = 3) -> list[PcClass]:
+    """Partition every function of the radix (19,683 ternary, 16 binary) by
+    PC signature, each class annotated with the NPN canonicals occurring
+    among its members; sorted by normalized signature.
 
-
-def binary_grid(index: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """2x2 table of binary function ``index``, rows in input-A order 0, 1."""
-    d = npn.digits_of_index(index, 2)
-    return ((d[0], d[1]), (d[2], d[3]))
-
-
-def binary_signature(index: int) -> PcSignature:
-    return signature_of_grid(binary_grid(index))
-
-
-@dataclass(frozen=True)
-class BinaryPcReport:
-    """Outcome of applying the two measures to all 16 binary gates."""
-
-    pc_classes: tuple[tuple[PcSignature, tuple[int, ...]], ...]
-    npn_classes: tuple[tuple[int, ...], ...]
-    matches: bool
-
-    @property
-    def pc_class_count(self) -> int:
-        return len(self.pc_classes)
-
-
-def pc_binary_check() -> BinaryPcReport:
-    """Compare the binary PC partition with the binary NPN partition.
-
-    A mismatch is reported in the result, not raised.
-    """
-    groups: dict[PcSignature, list[int]] = {}
-    for i in range(16):
-        groups.setdefault(binary_signature(i), []).append(i)
-    pc_classes = tuple(
-        (sig, tuple(groups[sig])) for sig in sorted(groups, key=lambda s: (s.first, s.second))
-    )
-    npn_classes = tuple(c.members for c in npn.classify_binary())
-    matches = {frozenset(m) for _, m in pc_classes} == {frozenset(m) for m in npn_classes}
-    return BinaryPcReport(pc_classes, npn_classes, matches)
+    One numpy pass over all digit tables: the sorted distinct counts of the
+    rows, and of the columns, are read as a base-(radix + 1) number, most
+    significant count first, so the key (smaller number, larger number)
+    orders functions exactly as their normalized signatures."""
+    grids = npn._all_digit_tables(radix).reshape(-1, radix, radix)
+    present = grids[..., None] == np.arange(radix, dtype=grids.dtype)
+    rows = np.sort(present.any(axis=2).sum(axis=2), axis=1)
+    cols = np.sort(present.any(axis=1).sum(axis=2), axis=1)
+    weights = (radix + 1) ** np.arange(radix - 1, -1, -1)
+    row_key, col_key = rows @ weights, cols @ weights
+    key = np.minimum(row_key, col_key) * (radix + 1) ** radix + np.maximum(row_key, col_key)
+    order = np.argsort(key, kind="stable")
+    _, starts = np.unique(key[order], return_index=True)
+    canon = npn.canonical_map(radix)
+    classes = []
+    for members in np.split(order, starts[1:]):
+        first = members[0]
+        classes.append(
+            PcClass(
+                PcSignature.of(rows[first].tolist(), cols[first].tolist()),
+                tuple(members.tolist()),
+                tuple(np.unique(canon[members]).tolist()),
+            )
+        )
+    return classes

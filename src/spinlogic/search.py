@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import npn
-from .pc import PcSignature, pc_signature
 from .spinsim import (
     PulseSequence,
     SpinSystem,
@@ -41,10 +40,14 @@ class Quantizer:
     become 0, everything else keeps its sign.  Readouts beyond saturation
     (plus slack) indicate a simulator contract violation, not a logic value.
 
-    ``saturation`` bounds the readout of one peak.  When a template's
-    experiments are quantized, the bound is scaled by the template's peak
-    count, since the readout sums one transverse component per peak; the
-    threshold ``epsilon`` is never scaled."""
+    ``saturation`` bounds the readout of one peak whose magnetization keeps
+    unit norm.  When a template's experiments are quantized, the bound is
+    scaled by the sum of the per-peak norm bounds, since the readout sums
+    one transverse component per peak.  Pulses and precession preserve a
+    peak's norm and a T1 delay, moving mz toward 1, raises its square by at
+    most 1, so a peak without T1 contributes 1 and a peak with T1 in a
+    sequence of d delays sqrt(1 + d).  The threshold ``epsilon`` is never
+    scaled."""
 
     epsilon: float = 0.25
     saturation: float = 1.0
@@ -178,8 +181,12 @@ class ExperimentTable:
 
 
 def _template_quantizer(template: SequenceTemplate, q: Quantizer) -> Quantizer:
-    """``q`` with its per-peak saturation scaled to the template's summed readout."""
-    return replace(q, saturation=q.saturation * template.peak_count)
+    """``q`` with its per-peak saturation scaled to the bound of the
+    template's summed readout (see :class:`Quantizer`)."""
+    doc = template.document
+    delays = sum(element["type"] == "delay" for element in doc["sequence"])
+    bound = sum(math.sqrt(1 + delays) if "t1_s" in peak else 1.0 for peak in doc["peaks"])
+    return replace(q, saturation=q.saturation * bound)
 
 
 def evaluate_table(
@@ -196,10 +203,6 @@ def evaluate_table(
     q = _template_quantizer(template, q)
     logic = TernaryFunction.from_rows([[quantize(x, q) for x in row] for row in raw])
     return ExperimentTable(a_vals, b_vals, raw, logic)
-
-
-def pc_of_experiment(table: ExperimentTable) -> PcSignature:
-    return pc_signature(table.logic)
 
 
 @dataclass(frozen=True)

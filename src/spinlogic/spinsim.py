@@ -24,6 +24,16 @@ from typing import Union
 TWO_PI = 2.0 * math.pi
 
 
+def normalize_phase(theta: float) -> float:
+    """Reduce a finite angle into [0, 2*pi)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"phase must be finite, got {theta!r}")
+    theta = theta % TWO_PI
+    if theta >= TWO_PI:  # float fold-up of tiny negatives
+        theta = 0.0
+    return theta
+
+
 def _check_finite(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -38,8 +48,8 @@ class Magnetization:
     Rotations preserve the norm and t1-free delays preserve mz and the
     transverse norm exactly.  Note that the T1-only model can push the norm
     transiently above 1 when transverse magnetization persists through a
-    recovery delay (no T2 decay counteracts it); the sequences simulated
-    here read out before that matters.
+    recovery delay (no T2 decay counteracts it), by at most 1 in the squared
+    norm per delay.
     """
 
     mx: float
@@ -236,10 +246,7 @@ def read_complex(s: SpinSystem) -> tuple[float, float]:
     magnitude = math.hypot(zx, zy)
     if magnitude == 0.0:
         return 0.0, 0.0
-    phase = math.atan2(zy, zx) % TWO_PI
-    if phase >= TWO_PI:
-        phase = 0.0
-    return magnitude, phase
+    return magnitude, normalize_phase(math.atan2(zy, zx))
 
 
 def two_pulse_grid(n: int, phi1: float, beta2: float) -> list[list[float]]:

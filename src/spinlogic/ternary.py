@@ -12,7 +12,7 @@ function is index 0 and the constant +1 function is index 19,682.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 VALUES: tuple[int, int, int] = (-1, 0, 1)
 NUM_CELLS = 9
@@ -77,16 +77,6 @@ def decode(index: int) -> TernaryFunction:
     if not 0 <= index < NUM_FUNCTIONS:
         raise ValueError(f"function index must be in [0, {NUM_FUNCTIONS - 1}], got {index}")
     return TernaryFunction(tuple((index // p) % 3 - 1 for p in _POWERS))
-
-
-def evaluate(f: TernaryFunction, a: int, b: int) -> int:
-    """Output of f for the input pair (a, b)."""
-    return f(a, b)
-
-
-def enumerate_all() -> Iterator[int]:
-    """Every function index exactly once, ascending."""
-    return iter(range(NUM_FUNCTIONS))
 
 
 def multiplication() -> TernaryFunction:

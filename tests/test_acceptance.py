@@ -78,11 +78,11 @@ def test_criterion_02_multiplication_orbit():
 
 def test_criterion_03_binary_calibration():
     with criterion(3, "4 binary NPN classes; binary PC partition equals it class-for-class"):
-        classes = npn.classify_binary()
+        classes = npn.classify_all(2)
         assert len(classes) == 4
-        report = pc.pc_binary_check()
-        assert report.matches
-        assert {frozenset(m) for _, m in report.pc_classes} == {
+        pc_classes = pc.pc_classify_all(2)
+        assert all(c.single_npn for c in pc_classes)
+        assert {frozenset(c.members) for c in pc_classes} == {
             frozenset(c.members) for c in classes
         }
 

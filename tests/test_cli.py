@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -297,3 +298,61 @@ def test_complex_wrong_arity(capsys):
 def test_usage_errors_exit_2(capsys):
     assert main(["classify", "--radix", "5"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_search_target_out_of_range_exits_2(capsys):
+    for target in ("99999", "-1"):
+        code, out, err = run(
+            capsys, "search", "--sequence", "single-pulse", "--grid-a", "0,1,2",
+            "--grid-b", "0,1,2", "--target", target,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and target in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_search_t1_template_file(tmp_path, capsys):
+    # T1 recovery lets this peak read out past 1 (about 1.2 at $A = 1)
+    doc = {
+        "peaks": [{"label": "s", "offset_rad_s": 0.0, "t1_s": 1.0}],
+        "sequence": [
+            {"type": "hard_pulse", "beta": math.pi / 2, "phi": math.pi / 2},
+            {"type": "delay", "tau": "$A"},
+            {"type": "hard_pulse", "beta": math.pi / 2, "phi": "$B"},
+        ],
+    }
+    path = tmp_path / "t1.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(
+        capsys, "search", "--sequence", str(path), "--grid-a", "0,1,5",
+        "--grid-b", "0,0.7853981633974483,3.141592653589793", "--target", "all",
+    )
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert sum(int(r[3]) for r in rows) == 1
+
+
+CLASSIFY_SHA256 = {
+    (3, "json"): "36c13643116a637583a0c63d0f56b0abcd28a1f354def9182190dff59bf8d5b0",
+    (3, "table"): "f87920adabb6055b931057e54d4f2c32a0daf352fe23fa74fe70ee0f41e6150d",
+    (3, "csv"): "89c7b3e8b186dd6e8115b24f0b95962c40a971b4276d2e5827a34af85faa3d8a",
+    (2, "table"): "3fffe17b22772dad08ab0d0eddbdef3dd1e43aeb94bbbe22a544f34b61a2e715",
+    (2, "csv"): "fa30180bb00fc299a566f2ad2a67fa48876bd2387db06d62cc1d3ddd70031a6e",
+}
+
+
+@pytest.mark.parametrize("radix, fmt", sorted(CLASSIFY_SHA256))
+def test_classify_report_bytes_are_pinned(capsys, radix, fmt):
+    code, out, _ = run(capsys, "classify", "--radix", str(radix), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[radix, fmt]
+
+
+def test_classify_binary_json_lists_npn_canonicals(capsys):
+    code, out, _ = run(capsys, "classify", "--radix", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pc_class_count"] == 4 and doc["self_check"] == "pass"
+    assert [c["npn_canonicals"] for c in doc["pc_classes"]] == [[0], [3], [1], [6]]
+    assert all(c["single_npn"] and "members" not in c for c in doc["pc_classes"])

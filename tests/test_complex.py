@@ -12,11 +12,9 @@ from spinlogic.complexlogic import (
     conjugate_truth_check,
     encode,
     encode_decode_roundtrip,
-    mand,
     mnot,
     normalize_phase,
     ptruth,
-    pxnor,
 )
 
 TWO_PI = 2 * math.pi
@@ -75,19 +73,20 @@ def test_mnot():
 
 def test_mand_magnitudes():
     x = ComplexSample(0.7, 1.0)
-    assert mand(ComplexSample(1.0, 0.0), x).r == pytest.approx(0.7)
-    assert mand(ComplexSample(0.5, 0.0), ComplexSample(0.5, 0.0)).r == 0.25
-    assert mand(ComplexSample(0.0, 0.0), x).r == 0.0
+    assert complex_multiply_via_logic(ComplexSample(1.0, 0.0), x).r == pytest.approx(0.7)
+    assert complex_multiply_via_logic(ComplexSample(0.5, 0.0), ComplexSample(0.5, 0.0)).r == 0.25
+    assert complex_multiply_via_logic(ComplexSample(0.0, 0.0), x).r == 0.0
 
 
 def test_mand_magnitude_is_commutative_and_associative():
+    mul = complex_multiply_via_logic
     rng = random.Random(71)
     for _ in range(100):
         a = ComplexSample(rng.uniform(0, 1), 0.0)
         b = ComplexSample(rng.uniform(0, 1), 0.0)
         c = ComplexSample(rng.uniform(0, 1), 0.0)
-        assert mand(a, b).r == mand(b, a).r
-        assert abs(mand(mand(a, b), c).r - mand(a, mand(b, c)).r) <= 1e-15
+        assert mul(a, b).r == mul(b, a).r
+        assert abs(mul(mul(a, b), c).r - mul(a, mul(b, c)).r) <= 1e-15
 
 
 def test_mand_default_rule_is_complex_multiplication():
@@ -95,44 +94,38 @@ def test_mand_default_rule_is_complex_multiplication():
     for _ in range(100):
         z1 = ComplexSample(rng.uniform(0, 1), rng.uniform(0, TWO_PI))
         z2 = ComplexSample(rng.uniform(0, 1), rng.uniform(0, TWO_PI))
-        out = mand(z1, z2)
+        out = complex_multiply_via_logic(z1, z2)
         r, theta = polar_oracle(z1, z2)
         assert abs(out.r - r) <= 1e-12
         if out.r > 1e-12:
             assert phase_distance(out.theta, theta) <= 1e-12
 
 
-def test_mand_custom_phase_rule():
-    out = mand(ComplexSample(0.5, 1.0), ComplexSample(0.5, 2.0), theta_rule=lambda a, b: a)
-    assert out.theta == pytest.approx(1.0)
-
-
 def test_pxnor_crisp_values():
     truth = ComplexSample(1.0, 0.0)
     false = ComplexSample(1.0, math.pi)
-    assert pxnor(truth, truth).theta == 0.0
-    assert pxnor(false, false).theta == pytest.approx(0.0)
-    assert pxnor(truth, false).theta == pytest.approx(math.pi)
+    assert complex_multiply_via_logic(truth, truth).theta == 0.0
+    assert complex_multiply_via_logic(false, false).theta == pytest.approx(0.0)
+    assert complex_multiply_via_logic(truth, false).theta == pytest.approx(math.pi)
 
 
 def test_pxnor_matches_boolean_xnor_through_projection():
     for t1 in (0.0, math.pi):
         for t2 in (0.0, math.pi):
-            combined = ptruth(normalize_phase(t1 + t2))
+            theta = complex_multiply_via_logic(ComplexSample(1.0, t1), ComplexSample(1.0, t2)).theta
             expected = 1.0 if ptruth(t1) == ptruth(t2) else 0.0
-            assert combined == pytest.approx(expected)
+            assert ptruth(theta) == pytest.approx(expected)
 
 
 def test_pxnor_phase_is_commutative_and_associative():
+    mul = complex_multiply_via_logic
     rng = random.Random(37)
     for _ in range(100):
         a = ComplexSample(1.0, rng.uniform(0, TWO_PI))
         b = ComplexSample(1.0, rng.uniform(0, TWO_PI))
         c = ComplexSample(1.0, rng.uniform(0, TWO_PI))
-        assert phase_distance(pxnor(a, b).theta, pxnor(b, a).theta) <= 1e-12
-        assert (
-            phase_distance(pxnor(pxnor(a, b), c).theta, pxnor(a, pxnor(b, c)).theta) <= 1e-12
-        )
+        assert phase_distance(mul(a, b).theta, mul(b, a).theta) <= 1e-12
+        assert phase_distance(mul(mul(a, b), c).theta, mul(a, mul(b, c)).theta) <= 1e-12
 
 
 def test_conjugate_truth_check():

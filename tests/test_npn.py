@@ -132,7 +132,7 @@ def test_burnside_count():
 
 
 def test_binary_classification():
-    classes = npn.classify_binary()
+    classes = npn.classify_all(2)
     assert len(classes) == 4
     assert sum(c.size for c in classes) == 16
     # constant 0 (index 0) and constant 1 (index 15) share a class
@@ -141,7 +141,7 @@ def test_binary_classification():
 
 
 def test_binary_orbit_sizes():
-    sizes = sorted(c.size for c in npn.classify_binary())
+    sizes = sorted(c.size for c in npn.classify_all(2))
     assert sizes == [2, 2, 4, 8]
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from spinlogic import npn, pc
 from spinlogic.ternary import NUM_FUNCTIONS, TernaryFunction, decode, multiplication
 
@@ -71,16 +73,30 @@ def test_multiplication_pc_class_is_a_single_npn_class():
     assert cls.npn_canonicals == (npn.canonical_index(multiplication().index),)
 
 
-def test_binary_signatures():
-    # XOR is digits (0,1,1,0) -> index 6; every line holds both values.
-    assert pc.binary_signature(6) == pc.PcSignature.of((2, 2), (2, 2))
-    assert pc.binary_signature(0) == pc.PcSignature.of((1, 1), (1, 1))
-
-
-def test_binary_pc_partition_matches_npn():
-    report = pc.pc_binary_check()
-    assert report.matches
-    assert report.pc_class_count == 4
-    pc_partition = {frozenset(members) for _, members in report.pc_classes}
-    npn_partition = {frozenset(c.members) for c in npn.classify_binary()}
-    assert pc_partition == npn_partition
+@pytest.mark.parametrize("radix", [2, 3])
+def test_pc_classify_all_matches_scalar_signatures(radix):
+    """The one-pass partition equals grouping every function by the scalar
+    ``signature_of_grid`` of its table, signatures, members and NPN
+    canonicals alike."""
+    canon = npn.canonical_map(radix)
+    members, canonicals = {}, {}
+    for i in range(radix ** (radix * radix)):
+        d = npn.digits_of_index(i, radix)
+        sig = pc.signature_of_grid([d[k : k + radix] for k in range(0, radix * radix, radix)])
+        members.setdefault(sig, []).append(i)
+        canonicals.setdefault(sig, set()).add(int(canon[i]))
+    expected = [
+        (sig, tuple(members[sig]), tuple(sorted(canonicals[sig])))
+        for sig in sorted(members, key=lambda s: (s.first, s.second))
+    ]
+    classes = pc.pc_classify_all(radix)
+    assert [(c.signature, c.members, c.npn_canonicals) for c in classes] == expected
+    if radix == 2:
+        # XOR is digits (0,1,1,0) -> index 6; every line holds both values.
+        by_member = {i: c.signature for c in classes for i in c.members}
+        assert by_member[6] == pc.PcSignature.of((2, 2), (2, 2))
+        assert by_member[0] == pc.PcSignature.of((1, 1), (1, 1))
+        # the binary PC partition is the NPN partition
+        assert {frozenset(c.members) for c in classes} == {
+            frozenset(c.members) for c in npn.classify_all(2)
+        }

@@ -15,7 +15,6 @@ from spinlogic.search import (
     SequenceTemplate,
     achievable_classes,
     evaluate_table,
-    pc_of_experiment,
     quantize,
     selective_delay_inputs,
     single_pulse_template,
@@ -88,7 +87,7 @@ def test_selective_delay_table_and_pc():
     template, delays, freqs = selective_delay_inputs()
     table = evaluate_table(template, delays, freqs)
     assert table.logic.rows() == ((1, 0, 1), (0, 0, -1), (-1, 0, 1))
-    assert pc_of_experiment(table) == pc.PcSignature.of((2, 2, 3), (1, 2, 3))
+    assert pc.pc_signature(table.logic) == pc.PcSignature.of((2, 2, 3), (1, 2, 3))
     # raw values follow the precession cosine for the matched peak
     omega_a = math.pi
     for i, tau in enumerate(delays):
@@ -100,7 +99,7 @@ def test_selective_delay_table_and_pc():
 def test_constant_experiment_pc():
     # beta = 0 everywhere: nothing is excited, all readouts are 0.
     table = evaluate_table(single_pulse_template(), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    assert pc_of_experiment(table) == pc.PcSignature.of((1, 1, 1), (1, 1, 1))
+    assert pc.pc_signature(table.logic) == pc.PcSignature.of((1, 1, 1), (1, 1, 1))
 
 
 def test_table_class_invariant_under_input_relabelling():
@@ -321,3 +320,40 @@ def test_template_rejects_unknown_fields():
         SequenceTemplate({"peaks": [peak], "sequence": [element, {"type": "warp", "tau": "$B"}]})
     with pytest.raises(ValueError, match="list"):
         SequenceTemplate({"peaks": peak, "sequence": [element]})
+
+
+ANGLE = st.floats(0.0, 2 * math.pi)
+ELEMENT = st.one_of(
+    st.builds(lambda b, p: {"type": "hard_pulse", "beta": b, "phi": p}, ANGLE, ANGLE),
+    st.builds(
+        lambda b, p, f: {
+            "type": "selective_pulse", "beta": b, "phi": p, "target_offset": f, "tolerance": 1.0,
+        },
+        ANGLE, ANGLE, st.floats(-5.0, 5.0),
+    ),
+    st.builds(lambda t: {"type": "delay", "tau": t}, st.floats(0.0, 5.0)),
+)
+
+
+@st.composite
+def t1_templates(draw):
+    """A template whose peaks may carry T1, with a delay of $A and a pulse
+    phase of $B placed anywhere among random fixed elements."""
+    peak = st.tuples(st.floats(-5.0, 5.0), st.none() | st.floats(0.1, 5.0))
+    peaks = [
+        {"label": f"p{k}", "offset_rad_s": offset, **({"t1_s": t1} if t1 is not None else {})}
+        for k, (offset, t1) in enumerate(draw(st.lists(peak, min_size=1, max_size=3)))
+    ]
+    sequence = draw(st.lists(ELEMENT, max_size=5))
+    sequence.insert(draw(st.integers(0, len(sequence))), {"type": "delay", "tau": "$A"})
+    beta = draw(ANGLE)
+    sequence.insert(draw(st.integers(0, len(sequence))), {"type": "hard_pulse", "beta": beta, "phi": "$B"})
+    return SequenceTemplate({"peaks": peaks, "sequence": sequence})
+
+
+@settings(max_examples=150, deadline=None)
+@given(t1_templates(), st.floats(0.0, 5.0), ANGLE)
+def test_t1_readout_stays_within_the_derived_bound(tpl, a, b):
+    bound = search._template_quantizer(tpl, Quantizer()).saturation
+    assert abs(tpl.run(a, b)) <= bound + search.RAW_SLACK
+

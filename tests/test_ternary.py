@@ -9,8 +9,6 @@ from spinlogic.ternary import (
     cell_index,
     decode,
     encode,
-    enumerate_all,
-    evaluate,
     multiplication,
 )
 
@@ -62,13 +60,13 @@ def test_decode_range_errors():
 
 def test_eval_multiplication_table_cells():
     mult = multiplication()
-    assert evaluate(mult, -1, -1) == 1
-    assert evaluate(mult, 0, 1) == 0
-    assert evaluate(mult, 1, -1) == -1
+    assert mult(-1, -1) == 1
+    assert mult(0, 1) == 0
+    assert mult(1, -1) == -1
 
 
 def test_enumerate_all():
-    indices = list(enumerate_all())
+    indices = list(range(NUM_FUNCTIONS))
     assert len(indices) == 19683
     assert indices[0] == 0
     assert indices[-1] == 19682
@@ -76,7 +74,7 @@ def test_enumerate_all():
 
 
 def test_roundtrip_is_exhaustive():
-    for i in enumerate_all():
+    for i in range(NUM_FUNCTIONS):
         assert encode(decode(i)) == i
 
 
