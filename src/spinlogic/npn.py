@@ -9,6 +9,14 @@ the other, i.e. when one physical implementation realizes both under a
 relabelling of its levels; the orbits of this action are the equivalence
 classes.
 
+Two computations over the whole function set avoid walking all group
+elements.  :func:`canonical_map` finds orbit minima by min-label propagation
+with pointer jumping over five generators of the group.  :func:`burnside_count`
+averages fixed-point counts that follow from each transform's cycle type
+(Burnside's lemma, as in Polya counting); it uses no digit table and no
+gather, so it shares no code path with the canonical map and the two class
+counts check each other.
+
 Tables are handled internally as tuples of ``radix**2`` digits in
 ``range(radix)``, with the cell for inputs ``(da, db)`` at flat position
 ``radix*da + db``.  For radix 3 a digit is the logic value plus one, matching
@@ -200,13 +208,30 @@ def _all_digit_tables(radix: int = 3) -> np.ndarray:
     return out
 
 
+def _generators(radix: int) -> tuple[NpnTransform, ...]:
+    """A generating set of the group: a transposition and an n-cycle on input
+    A's values, the input swap, and the same two permutations on the output.
+    Input B's permutations arise by conjugating A's with the swap.  For radix
+    2 the cycle equals the transposition, which is harmless."""
+    ident = tuple(range(radix))
+    transposition = (1, 0) + ident[2:]
+    cycle = ident[1:] + (0,)
+    return (
+        NpnTransform(transposition, ident, False, ident),
+        NpnTransform(cycle, ident, False, ident),
+        NpnTransform(ident, ident, True, ident),
+        NpnTransform(ident, ident, False, transposition),
+        NpnTransform(ident, ident, False, cycle),
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _gather_tables(radix: int = 3) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per transform: source cell for each destination cell, plus the output
+    """Per generator: source cell for each destination cell, plus the output
     digit map, so a whole function set transforms in one numpy gather."""
     r = radix
     tables = []
-    for t in all_transforms(radix):
+    for t in _generators(radix):
         src_of_dst = np.empty(r * r, dtype=np.intp)
         for da in range(r):
             for db in range(r):
@@ -219,16 +244,34 @@ def _gather_tables(radix: int = 3) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 @functools.lru_cache(maxsize=None)
 def canonical_map(radix: int = 3) -> np.ndarray:
-    """Canonical (minimum orbit member) index for every function index."""
+    """Canonical (minimum orbit member) index for every function index.
+
+    Orbits are the connected components of the graph whose edges join each
+    function to its images under the generators.  Every label starts as the
+    function's own index; each round lowers a label to the smallest one among
+    its generator images, then jumps every label to its label's label, until
+    a round changes nothing.  A label always names a member of the function's
+    orbit.  In a finite group each inverse is a power of its element, so the
+    forward edges alone connect every orbit and the fixed point holds the
+    orbit minimum everywhere.
+    """
     digits = _all_digit_tables(radix)
     cells = radix * radix
     powers = radix ** np.arange(cells, dtype=np.int64)
-    canon = np.arange(radix**cells, dtype=np.int64)
-    for src_of_dst, vperm in _gather_tables(radix):
-        image = vperm[digits[:, src_of_dst]].astype(np.int64) @ powers
-        np.minimum(canon, image, out=canon)
-    canon.flags.writeable = False
-    return canon
+    images = [
+        vperm[digits[:, src_of_dst]].astype(np.int64) @ powers
+        for src_of_dst, vperm in _gather_tables(radix)
+    ]
+    label = np.arange(radix**cells, dtype=np.int64)
+    while True:
+        previous = label
+        for image in images:
+            label = np.minimum(label, label[image])
+        label = label[label]
+        if np.array_equal(label, previous):
+            break
+    label.flags.writeable = False
+    return label
 
 
 def canonical_index(index: int, radix: int = 3) -> int:
@@ -248,14 +291,41 @@ def classify_all(radix: int = 3) -> list[NpnClass]:
     return [NpnClass(c, tuple(members), radix) for c, members in sorted(groups.items())]
 
 
+def _iterate(perm: tuple[int, ...], d: int, times: int) -> int:
+    for _ in range(times):
+        d = perm[d]
+    return d
+
+
 def fixed_point_counts(radix: int = 3) -> list[int]:
     """Number of functions fixed by each transform, aligned with
-    :func:`all_transforms`; counted by brute force over every function."""
-    digits = _all_digit_tables(radix)
+    :func:`all_transforms`; counted from cycle types, without any table.
+
+    A transform moves the value at cell ``c`` to cell ``sigma(c)`` and
+    relabels it by ``pi = perm_out``, so ``f`` is fixed exactly when
+    ``f(sigma(c)) == pi(f(c))`` for every cell.  Going once round a cell
+    cycle of length ``L`` gives ``f(c) == pi**L(f(c))``: the digit on one
+    cell of the cycle is any fixed point of ``pi**L`` and fixes the rest.
+    """
+    r = radix
     counts = []
-    for src_of_dst, vperm in _gather_tables(radix):
-        image = vperm[digits[:, src_of_dst]]
-        counts.append(int((image == digits).all(axis=1).sum()))
+    for t in all_transforms(radix):
+        sigma = [0] * (r * r)
+        for da in range(r):
+            for db in range(r):
+                ia, ib = t.perm_a[da], t.perm_b[db]
+                sigma[r * da + db] = r * ib + ia if t.swap_inputs else r * ia + ib
+        count = 1
+        seen = [False] * (r * r)
+        for start in range(r * r):
+            length, cell = 0, start
+            while not seen[cell]:
+                seen[cell] = True
+                cell = sigma[cell]
+                length += 1
+            if length:
+                count *= sum(1 for d in range(r) if _iterate(t.perm_out, d, length) == d)
+        counts.append(count)
     return counts
 
 

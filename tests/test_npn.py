@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinlogic import npn
 from spinlogic.ternary import NUM_FUNCTIONS, TernaryFunction, decode, encode, multiplication
@@ -8,6 +11,46 @@ from spinlogic.ternary import NUM_FUNCTIONS, TernaryFunction, decode, encode, mu
 
 def random_transform(rng, radix=3):
     return rng.choice(npn.all_transforms(radix))
+
+
+def transform_lists(size):
+    """``size`` transforms of one radix, 2 or 3."""
+    return st.sampled_from([2, 3]).flatmap(
+        lambda radix: st.lists(
+            st.sampled_from(npn.all_transforms(radix)), min_size=size, max_size=size
+        )
+    )
+
+
+def digit_tables(radix):
+    """Digit matrix of every function index, built here rather than in npn."""
+    index = np.arange(radix ** (radix * radix))
+    return np.stack([index // radix**c % radix for c in range(radix * radix)], axis=1)
+
+
+def gather(t):
+    """Source cell of each destination cell and the output digit map of ``t``.
+
+    The cell map is read off the scalar reference ``apply_to_digits`` by
+    moving a single marked cell under ``t`` with its output relabelling
+    dropped.
+    """
+    r = t.radix
+    ident = tuple(range(r))
+    moves = npn.NpnTransform(t.perm_a, t.perm_b, t.swap_inputs, ident)
+    src_of_dst = np.empty(r * r, dtype=np.intp)
+    for src in range(r * r):
+        marked = tuple(int(c == src) for c in range(r * r))
+        src_of_dst[npn.apply_to_digits(moves, marked).index(1)] = src
+    return src_of_dst, np.array(t.perm_out)
+
+
+def group_images(radix):
+    """Every transform's image of the whole digit matrix, one gather each."""
+    digits = digit_tables(radix)
+    for t in npn.all_transforms(radix):
+        src_of_dst, vperm = gather(t)
+        yield vperm[digits[:, src_of_dst]]
 
 
 def test_group_sizes():
@@ -116,6 +159,55 @@ def test_canonical_map_agrees_with_orbit():
         assert npn.canonical_index(i) == npn.orbit(i).canonical
 
 
+@pytest.mark.parametrize("radix", [2, 3])
+def test_canonical_map_equals_minimum_over_group(radix):
+    powers = radix ** np.arange(radix * radix)
+    expected = np.arange(radix ** (radix * radix))
+    for image in group_images(radix):
+        np.minimum(expected, image @ powers, out=expected)
+    assert np.array_equal(npn.canonical_map(radix), expected)
+
+
+@given(st.integers(0, NUM_FUNCTIONS - 1), st.sampled_from(npn.all_transforms(3)))
+def test_canonical_map_is_constant_on_orbits(index, t):
+    image = npn.index_of_digits(npn.apply_to_digits(t, npn.digits_of_index(index)))
+    assert npn.canonical_map(3)[image] == npn.canonical_map(3)[index]
+
+
+@pytest.mark.parametrize("radix, order", [(2, 16), (3, 432)])
+def test_generators_generate_the_group(radix, order):
+    generators = npn._generators(radix)
+    closure = set(generators)
+    frontier = closure
+    while frontier:
+        frontier = {npn.compose(g, t) for t in frontier for g in generators} - closure
+        closure |= frontier
+    assert closure == set(npn.all_transforms(radix))
+    assert len(closure) == order
+
+
+@given(transform_lists(3))
+def test_compose_is_associative(ts):
+    a, b, c = ts
+    assert npn.compose(a, npn.compose(b, c)) == npn.compose(npn.compose(a, b), c)
+
+
+@given(transform_lists(1))
+def test_identity_is_two_sided(ts):
+    (t,) = ts
+    ident = npn.identity_transform(t.radix)
+    assert npn.compose(ident, t) == t == npn.compose(t, ident)
+
+
+@given(transform_lists(1))
+def test_every_transform_has_an_inverse(ts):
+    (t,) = ts
+    ident = npn.identity_transform(t.radix)
+    inverses = [u for u in npn.all_transforms(t.radix) if npn.compose(u, t) == ident]
+    assert len(inverses) == 1
+    assert npn.compose(t, inverses[0]) == ident
+
+
 def test_multiplication_stabilizer_order():
     index = encode(multiplication())
     stab = npn.stabilizer(index)
@@ -129,6 +221,13 @@ def test_burnside_count():
     assert sum(counts) == 84 * 432
     assert npn.burnside_count(3) == 84
     assert npn.burnside_count(3) == len(npn.classify_all())
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_fixed_point_counts_equal_brute_force(radix):
+    digits = digit_tables(radix)
+    expected = [int((image == digits).all(axis=1).sum()) for image in group_images(radix)]
+    assert npn.fixed_point_counts(radix) == expected
 
 
 def test_binary_classification():
