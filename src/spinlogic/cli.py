@@ -45,15 +45,17 @@ def _parse_grid(spec: str) -> list[float]:
     return [float(piece) for piece in spec.split(",")]
 
 
-def _resolve_template(args) -> search_mod.SequenceTemplate:
+def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float], list[float]]:
     name = args.sequence
     if name == "single-pulse":
-        return search_mod.single_pulse_template()
-    if name == "two-pulse":
-        return search_mod.two_pulse_template(args.phi1, args.beta2)
-    if name == "selective-delay":
-        return search_mod.selective_delay_template(args.omega_a)
-    return search_mod.SequenceTemplate.from_json(Path(name).read_text(encoding="utf-8"))
+        template = search_mod.single_pulse_template()
+    elif name == "two-pulse":
+        template = search_mod.two_pulse_template(args.phi1, args.beta2)
+    elif name == "selective-delay":
+        template = search_mod.selective_delay_template(args.omega_a)
+    else:
+        template = search_mod.SequenceTemplate.from_json(Path(name).read_text(encoding="utf-8"))
+    return template, _parse_grid(args.grid_a), _parse_grid(args.grid_b)
 
 
 # --- classify ---------------------------------------------------------------
@@ -179,10 +181,8 @@ def _grid_csv(grid_a: list[float], grid_b: list[float], values: list[list[float]
 
 
 def cmd_simulate(args) -> int:
-    template = _resolve_template(args)
-    grid_a = _parse_grid(args.grid_a)
-    grid_b = _parse_grid(args.grid_b)
-    values = [[template.run(a, b) for b in grid_b] for a in grid_a]
+    template, grid_a, grid_b = _template_and_grids(args)
+    values = template.readouts(grid_a, grid_b).tolist()
     if args.format == "json":
         doc = {"grid_a": grid_a, "grid_b": grid_b, "values": values}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -205,9 +205,7 @@ def _resolve_target(spec: str) -> int:
 
 
 def cmd_search(args) -> int:
-    template = _resolve_template(args)
-    grid_a = _parse_grid(args.grid_a)
-    grid_b = _parse_grid(args.grid_b)
+    template, grid_a, grid_b = _template_and_grids(args)
     quantizer = search_mod.Quantizer(epsilon=args.epsilon)
 
     if args.target == "all":

@@ -29,6 +29,7 @@ from .spinsim import (
     Peak,
     PulseSequence,
     SpinSystem,
+    _check_finite,
     normalize_phase,
     read_complex,
     run_sequence,
@@ -71,11 +72,11 @@ class EncodingParams:
     alpha: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0:
+        if _check_finite("t1", self.t1) <= 0:
             raise ValueError(f"t1 must be positive, got {self.t1}")
-        if self.omega_off == 0:
+        if _check_finite("omega_off", self.omega_off) == 0:
             raise ValueError("omega_off must be nonzero")
-        if self.alpha <= 1:
+        if _check_finite("alpha", self.alpha) <= 1:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
 
 

@@ -12,7 +12,6 @@ all six, so the search enumerates ascending triples from each grid.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -21,14 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import npn
-from .spinsim import (
-    PulseSequence,
-    SpinSystem,
-    check_document_fields,
-    document_from_dict,
-    read_mx,
-    run_sequence,
-)
+from .spinsim import Delay, check_document_fields, document_from_dict, run_steps
 from .ternary import TernaryFunction
 
 RAW_SLACK = 1e-9
@@ -59,53 +51,69 @@ class Quantizer:
             raise ValueError(f"saturation must be positive, got {self.saturation}")
 
 
-def quantize(x: float, q: Quantizer = Quantizer()) -> int:
-    if abs(x) > q.saturation + RAW_SLACK:
-        raise ValueError(f"readout {x} outside [-{q.saturation}, {q.saturation}]")
-    if x >= q.epsilon:
-        return 1
-    if x <= -q.epsilon:
-        return -1
-    return 0
+def quantize(x, q: Quantizer = Quantizer()):
+    """Logic value of a readout (an int), or of each one in an array (int8)."""
+    x = np.asarray(x, dtype=float)
+    over = np.abs(x) > q.saturation + RAW_SLACK
+    if over.any():
+        raise ValueError(f"readout {x[over][0]} outside [-{q.saturation}, {q.saturation}]")
+    values = (x >= q.epsilon).astype(np.int8) - (x <= -q.epsilon)
+    return values if values.ndim else int(values)
 
 
 PLACEHOLDERS = ("$A", "$B")
 
 
 class SequenceTemplate:
-    """Pulse-sequence document with exactly two free parameters, $A and $B."""
+    """Pulse-sequence document with exactly two free parameters, $A and $B.
+
+    The document is parsed once, so its errors show before any simulation;
+    a placeholder parses as 1.0, which every numeric element field accepts,
+    and ``slots`` holds the (element position, field, placeholder) of each."""
 
     def __init__(self, document: dict):
         check_document_fields(document)
-        self.document = copy.deepcopy(document)
-        self.peak_count = len(self.document["peaks"])
-        found = set()
-        for element in self.document["sequence"]:
+        slots, sequence = [], []
+        for k, element in enumerate(document["sequence"]):
+            sequence.append(dict(element))
             for key, value in element.items():
                 if isinstance(value, str) and value.startswith("$") and key != "type":
                     if value not in PLACEHOLDERS:
                         raise ValueError(f"unknown placeholder {value!r} in field {key!r}")
-                    found.add(value)
-        missing = [p for p in PLACEHOLDERS if p not in found]
+                    slots.append((k, key, value))
+                    sequence[-1][key] = 1.0
+        missing = [p for p in PLACEHOLDERS if p not in {name for _, _, name in slots}]
         if missing:
             raise ValueError(f"template must use both $A and $B, missing {missing}")
+        self.slots = tuple(slots)
+        self.system, self.sequence = document_from_dict({**document, "sequence": sequence})
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceTemplate":
         return cls(json.loads(text))
 
-    def instantiate(self, a: float, b: float) -> tuple[SpinSystem, PulseSequence]:
-        doc = copy.deepcopy(self.document)
-        binding = {"$A": float(a), "$B": float(b)}
-        for element in doc["sequence"]:
-            for key, value in element.items():
-                if isinstance(value, str) and value in binding:
-                    element[key] = binding[value]
-        return document_from_dict(doc)
+    def _checked(self, name: str, grid):
+        """(position, field, values) for each slot of placeholder ``name``,
+        every grid value checked once by the element's own validation."""
+        for k, key, placeholder in self.slots:
+            if placeholder == name:
+                element = self.sequence.elements[k]
+                yield k, key, [getattr(replace(element, **{key: v}), key) for v in grid]
 
-    def run(self, a: float, b: float) -> float:
-        system, sequence = self.instantiate(a, b)
-        return read_mx(run_sequence(system, sequence))
+    def readouts(self, grid_a, grid_b) -> np.ndarray:
+        """Summed x readout at every grid point, shape (len(grid_a),
+        len(grid_b)), evaluated one $A value at a time over all of grid_b."""
+        steps = [(type(e), dict(vars(e))) for e in self.sequence.elements]
+        for k, key, values in self._checked("$B", grid_b):
+            steps[k][1][key] = np.array(values)[:, None]
+        a_slots = list(self._checked("$A", grid_a))
+        out = np.empty((len(grid_a), len(grid_b)))
+        for i in range(len(grid_a)):
+            for k, key, values in a_slots:
+                steps[k][1][key] = values[i]
+            x, _, _ = run_steps(self.system, steps, len(grid_b))
+            out[i] = sum(x.T, 0.0)  # peak by peak, as read_mx adds them
+        return out
 
 
 def single_pulse_template() -> SequenceTemplate:
@@ -183,9 +191,8 @@ class ExperimentTable:
 def _template_quantizer(template: SequenceTemplate, q: Quantizer) -> Quantizer:
     """``q`` with its per-peak saturation scaled to the bound of the
     template's summed readout (see :class:`Quantizer`)."""
-    doc = template.document
-    delays = sum(element["type"] == "delay" for element in doc["sequence"])
-    bound = sum(math.sqrt(1 + delays) if "t1_s" in peak else 1.0 for peak in doc["peaks"])
+    delays = sum(isinstance(e, Delay) for e in template.sequence.elements)
+    bound = sum(1.0 if p.t1 is None else math.sqrt(1 + delays) for p in template.system.peaks)
     return replace(q, saturation=q.saturation * bound)
 
 
@@ -199,10 +206,9 @@ def evaluate_table(
     a_vals, b_vals = tuple(a_vals), tuple(b_vals)
     if len(a_vals) != 3 or len(b_vals) != 3:
         raise ValueError("evaluate_table needs exactly 3 values per parameter")
-    raw = tuple(tuple(template.run(a, b) for b in b_vals) for a in a_vals)
-    q = _template_quantizer(template, q)
-    logic = TernaryFunction.from_rows([[quantize(x, q) for x in row] for row in raw])
-    return ExperimentTable(a_vals, b_vals, raw, logic)
+    raw = template.readouts(a_vals, b_vals)
+    logic = TernaryFunction.from_rows(quantize(raw, _template_quantizer(template, q)).tolist())
+    return ExperimentTable(a_vals, b_vals, tuple(map(tuple, raw.tolist())), logic)
 
 
 @dataclass(frozen=True)
@@ -216,11 +222,7 @@ class SearchHit:
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
     """Digit (value + 1) readout for every grid point; triples index into this."""
     q = _template_quantizer(template, q)
-    digits = np.empty((len(grid_a), len(grid_b)), dtype=np.uint8)
-    for i, a in enumerate(grid_a):
-        for j, b in enumerate(grid_b):
-            digits[i, j] = quantize(template.run(a, b), q) + 1
-    return digits
+    return (quantize(template.readouts(grid_a, grid_b), q) + 1).astype(np.uint8)
 
 
 # b-triples per step of the class count; the step's working memory is about

@@ -12,14 +12,19 @@ not modeled; readout happens at acquisition start, before any decay would
 matter for the logic experiments simulated here.
 
 Readout models the integral of the frequency-domain signal as the plain sum
-of per-peak transverse components.
+of per-peak transverse components.  The rotation and precession formulas
+are array-generic: :func:`run_steps` applies them to (points, peaks) arrays,
+the one element loop behind every simulation, and the per-element
+``apply_*`` functions to one peak at a time, as its stepwise reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Union
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,22 +157,37 @@ class PulseSequence:
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
-def _rotate(m: Magnetization, beta: float, phi: float) -> Magnetization:
+def _rotate(x, y, z, beta, phi):
     # Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0).
-    kx, ky = math.cos(phi), math.sin(phi)
-    c, s = math.cos(beta), math.sin(beta)
-    dot = kx * m.mx + ky * m.my
+    kx, ky = np.cos(phi), np.sin(phi)
+    c, s = np.cos(beta), np.sin(beta)
+    dot = kx * x + ky * y
     t = 1.0 - c
-    return Magnetization(
-        m.mx * c + ky * m.mz * s + kx * dot * t,
-        m.my * c - kx * m.mz * s + ky * dot * t,
-        m.mz * c + (kx * m.my - ky * m.mx) * s,
+    return (
+        x * c + ky * z * s + kx * dot * t,
+        y * c - kx * z * s + ky * dot * t,
+        z * c + (kx * y - ky * x) * s,
     )
+
+
+# libm's exp: numpy's own exp is dispatched per CPU and differs from it in the
+# last bit for some arguments, which would change reported readouts.
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _evolve(x, y, z, offset, tau, t1):
+    # Precession about z by offset*tau; mz recovers toward 1 where t1 is finite.
+    angle = offset * tau
+    c, s = np.cos(angle), np.sin(angle)
+    recovered = 1.0 + (z - 1.0) * _exp(-tau / t1)
+    return x * c - y * s, x * s + y * c, np.where(np.isfinite(t1), recovered, z)
 
 
 def apply_hard_pulse(s: SpinSystem, beta: float, phi: float) -> SpinSystem:
     """Rotate every peak; pulses are instantaneous (no precession during)."""
-    return SpinSystem(tuple(replace(p, m=_rotate(p.m, beta, phi)) for p in s.peaks))
+    return SpinSystem(
+        tuple(replace(p, m=Magnetization(*_rotate(*astuple(p.m), beta, phi))) for p in s.peaks)
+    )
 
 
 def apply_selective_pulse(
@@ -175,37 +195,24 @@ def apply_selective_pulse(
 ) -> SpinSystem:
     """Rotate only peaks within the frequency window; a window matching no
     peak is legal and leaves the system unchanged."""
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    rotated = apply_hard_pulse(s, beta, phi).peaks
+    window = [abs(p.offset - target_offset) < tolerance for p in s.peaks]
+    return SpinSystem(tuple(r if w else p for p, r, w in zip(s.peaks, rotated, window)))
+
+
+def apply_delay(s: SpinSystem, tau: float) -> SpinSystem:
+    """Precession about z plus T1 recovery of mz toward equilibrium."""
+    tau = Delay(tau).tau
     return SpinSystem(
         tuple(
-            replace(p, m=_rotate(p.m, beta, phi))
-            if abs(p.offset - target_offset) < tolerance
-            else p
+            replace(p, m=Magnetization(*_evolve(*astuple(p.m), p.offset, tau, p.t1 or math.inf)))
             for p in s.peaks
         )
     )
 
 
-def _evolve(p: Peak, tau: float) -> Peak:
-    angle = p.offset * tau
-    c, s = math.cos(angle), math.sin(angle)
-    mx = p.m.mx * c - p.m.my * s
-    my = p.m.mx * s + p.m.my * c
-    mz = p.m.mz
-    if p.t1 is not None:
-        mz = 1.0 + (mz - 1.0) * math.exp(-tau / p.t1)
-    return replace(p, m=Magnetization(mx, my, mz))
-
-
-def apply_delay(s: SpinSystem, tau: float) -> SpinSystem:
-    """Precession about z plus T1 recovery of mz toward equilibrium."""
-    if tau < 0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
-    return SpinSystem(tuple(_evolve(p, tau) for p in s.peaks))
-
-
 def apply_element(s: SpinSystem, e: SequenceElement) -> SpinSystem:
+    """One element applied peak by peak, the reference for :func:`run_steps`."""
     if isinstance(e, HardPulse):
         return apply_hard_pulse(s, e.beta, e.phi)
     if isinstance(e, SelectivePulse):
@@ -219,16 +226,41 @@ def at_equilibrium(s: SpinSystem) -> SpinSystem:
     return SpinSystem(tuple(replace(p, m=EQUILIBRIUM) for p in s.peaks))
 
 
-def run_sequence(s: SpinSystem, seq: PulseSequence) -> SpinSystem:
-    """Apply the sequence starting from equilibrium.
-
-    The relaxation delay preceding every real experiment is modeled as an
-    exact reset of every peak to (0, 0, 1).
-    """
-    state = at_equilibrium(s)
-    for element in seq.elements:
-        state = apply_element(state, element)
+def run_steps(s: SpinSystem, steps, points: int = 1):
+    """The element loop behind every simulation: ``points`` copies of the
+    system start from equilibrium and go through ``steps``, pairs of an
+    element class and a mapping of its field names to values.  A value is a
+    float shared by every point or a (points, 1) array with one per point.
+    Returns the x, y and z components as (points, peaks) arrays."""
+    offset = np.array([p.offset for p in s.peaks])
+    t1 = np.array([p.t1 or math.inf for p in s.peaks])  # t1 is positive when set
+    shape = (points, len(offset))
+    state = np.zeros(shape), np.zeros(shape), np.ones(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, v in steps:
+            if kind is HardPulse:
+                state = _rotate(*state, v["beta"], v["phi"])
+            elif kind is SelectivePulse:
+                hit = np.abs(offset - v["target_offset"]) < v["tolerance"]
+                rotated = _rotate(*state, v["beta"], v["phi"])
+                state = tuple(np.where(hit, r, m) for r, m in zip(rotated, state))
+            elif kind is Delay:
+                state = _evolve(*state, offset, v["tau"], t1)
+            else:
+                raise TypeError(f"unknown sequence element type {kind!r}")
+    if not all(np.isfinite(c).all() for c in state):
+        raise ValueError("magnetization is not finite: a precession angle offset*tau overflows")
     return state
+
+
+def run_sequence(s: SpinSystem, seq: PulseSequence) -> SpinSystem:
+    """Apply the sequence starting from equilibrium: the relaxation delay
+    preceding every real experiment is modeled as an exact reset of every
+    peak to (0, 0, 1)."""
+    x, y, z = run_steps(s, [(type(e), vars(e)) for e in seq.elements])
+    return SpinSystem(
+        tuple(replace(p, m=Magnetization(*m)) for p, m in zip(s.peaks, zip(x[0], y[0], z[0])))
+    )
 
 
 def read_mx(s: SpinSystem) -> float:
@@ -247,24 +279,6 @@ def read_complex(s: SpinSystem) -> tuple[float, float]:
     if magnitude == 0.0:
         return 0.0, 0.0
     return magnitude, normalize_phase(math.atan2(zy, zx))
-
-
-def two_pulse_grid(n: int, phi1: float, beta2: float) -> list[list[float]]:
-    """x magnetization after [pulse(beta1_i, phi1), pulse(beta2, phi2_j)] on a
-    single on-resonance peak, with beta1 and phi2 sampled at n points spanning
-    [0, 2*pi] inclusive; grid[i][j] pairs beta1_i with phi2_j."""
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points per axis, got {n}")
-    system = SpinSystem((Peak("s", 0.0),))
-    samples = [k * TWO_PI / (n - 1) for k in range(n)]
-    grid = []
-    for beta1 in samples:
-        row = []
-        for phi2 in samples:
-            seq = PulseSequence((HardPulse(beta1, phi1), HardPulse(beta2, phi2)))
-            row.append(read_mx(run_sequence(system, seq)))
-        grid.append(row)
-    return grid
 
 
 # --- JSON document schema -------------------------------------------------
@@ -288,14 +302,18 @@ def _number(doc: dict, key: str, where: str) -> float:
     value = _require(doc, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where} field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} field {key!r} is too large for a float") from None
 
 
+ELEMENT_TYPES = {"hard_pulse": HardPulse, "selective_pulse": SelectivePulse, "delay": Delay}
+ELEMENT_NAMES = {cls: kind for kind, cls in ELEMENT_TYPES.items()}
 PEAK_FIELDS = ("label", "offset_rad_s", "t1_s")
+# an element's document fields are its type and its dataclass fields
 ELEMENT_FIELDS = {
-    "hard_pulse": ("type", "beta", "phi"),
-    "selective_pulse": ("type", "beta", "phi", "target_offset", "tolerance"),
-    "delay": ("type", "tau"),
+    kind: ("type", *(f.name for f in fields(cls))) for kind, cls in ELEMENT_TYPES.items()
 }
 
 
@@ -327,47 +345,28 @@ def check_document_fields(doc: dict) -> None:
 
 def element_from_dict(doc: dict) -> SequenceElement:
     kind = _require(doc, "type", "sequence element")
-    if kind == "hard_pulse":
-        return HardPulse(_number(doc, "beta", kind), _number(doc, "phi", kind))
-    if kind == "selective_pulse":
-        return SelectivePulse(
-            _number(doc, "beta", kind),
-            _number(doc, "phi", kind),
-            _number(doc, "target_offset", kind),
-            _number(doc, "tolerance", kind),
-        )
-    if kind == "delay":
-        return Delay(_number(doc, "tau", kind))
-    raise ValueError(f"unknown sequence element type {kind!r}")
+    if not isinstance(kind, str) or kind not in ELEMENT_TYPES:
+        raise ValueError(f"unknown sequence element type {kind!r}")
+    return ELEMENT_TYPES[kind](*(_number(doc, key, kind) for key in ELEMENT_FIELDS[kind][1:]))
 
 
 def element_to_dict(e: SequenceElement) -> dict:
-    if isinstance(e, HardPulse):
-        return {"type": "hard_pulse", "beta": e.beta, "phi": e.phi}
-    if isinstance(e, SelectivePulse):
-        return {
-            "type": "selective_pulse",
-            "beta": e.beta,
-            "phi": e.phi,
-            "target_offset": e.target_offset,
-            "tolerance": e.tolerance,
-        }
-    if isinstance(e, Delay):
-        return {"type": "delay", "tau": e.tau}
-    raise TypeError(f"unknown sequence element {e!r}")
+    if type(e) not in ELEMENT_NAMES:
+        raise TypeError(f"unknown sequence element {e!r}")
+    return {"type": ELEMENT_NAMES[type(e)], **vars(e)}
 
 
 def document_from_dict(doc: dict) -> tuple[SpinSystem, PulseSequence]:
-    peaks = []
-    for p in _require(doc, "peaks", "document"):
-        peak = Peak(
+    peaks = tuple(
+        Peak(
             str(_require(p, "label", "peak")),
             _number(p, "offset_rad_s", "peak"),
             t1=_number(p, "t1_s", "peak") if "t1_s" in p else None,
         )
-        peaks.append(peak)
+        for p in _require(doc, "peaks", "document")
+    )
     elements = tuple(element_from_dict(e) for e in _require(doc, "sequence", "document"))
-    return SpinSystem(tuple(peaks)), PulseSequence(elements)
+    return SpinSystem(peaks), PulseSequence(elements)
 
 
 def document_to_dict(system: SpinSystem, sequence: PulseSequence) -> dict:

@@ -130,7 +130,8 @@ def test_criterion_06_negative_result_on_single_pulse():
 def test_criterion_07_two_pulse_grid_oracle():
     with criterion(7, "10x10 two-pulse grid (phi1=3pi/2, beta2=pi/2) matches rotation-matrix oracle (1e-12)"):
         n, phi1, beta2 = 10, 3 * math.pi / 2, math.pi / 2
-        grid = spinsim.two_pulse_grid(n, phi1, beta2)
+        samples = [k * TWO_PI / (n - 1) for k in range(n)]
+        grid = search.two_pulse_template(phi1, beta2).readouts(samples, samples)
         worst = 0.0
         for i in range(n):
             beta1 = i * TWO_PI / (n - 1)

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinlogic import npn
 from spinlogic.cli import main
-from spinlogic.search import selective_delay_inputs, evaluate_table
+from spinlogic.search import evaluate_table, selective_delay_inputs, two_pulse_template
 from spinlogic.ternary import encode, multiplication
 
 TRIPLE_CSV = "1.5707963267948966,3.141592653589793,4.71238898038469"
@@ -89,9 +95,8 @@ def test_simulate_linear_grid_spec(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 11
     # the CLI grid equals the library's two-pulse grid (defaults 3pi/2, pi/2)
-    from spinlogic.spinsim import two_pulse_grid
-
-    expected = two_pulse_grid(10, 3 * math.pi / 2, math.pi / 2)
+    samples = [k * 2 * math.pi / 9 for k in range(10)]
+    expected = two_pulse_template(3 * math.pi / 2, math.pi / 2).readouts(samples, samples)
     for i, line in enumerate(lines[1:]):
         for j, cell in enumerate(line.split(",")[1:]):
             assert float(cell) == pytest.approx(expected[i][j], abs=1e-11)
@@ -356,3 +361,152 @@ def test_classify_binary_json_lists_npn_canonicals(capsys):
     assert doc["pc_class_count"] == 4 and doc["self_check"] == "pass"
     assert [c["npn_canonicals"] for c in doc["pc_classes"]] == [[0], [3], [1], [6]]
     assert all(c["single_npn"] and "members" not in c for c in doc["pc_classes"])
+
+
+def assert_one_error_line(code, out, err, *words):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    for word in words:
+        assert word in err
+
+
+BOUND_FIELDS_TEMPLATE = {
+    "peaks": [{"label": "s", "offset_rad_s": 1.0}],
+    "sequence": [
+        {"type": "selective_pulse", "beta": 1.0, "phi": 0.0, "target_offset": 1.0, "tolerance": "$B"},
+        {"type": "delay", "tau": "$A"},
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "search"])
+@pytest.mark.parametrize(
+    "grid_a, grid_b, word",
+    [
+        ("0.5,-0.25,1", "0.5,1,2", "delay must be nonnegative"),
+        ("0.5,1,2", "0.5,0,1", "tolerance must be positive"),
+    ],
+)
+def test_invalid_bound_value_exits_2(tmp_path, capsys, command, grid_a, grid_b, word):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(BOUND_FIELDS_TEMPLATE), encoding="utf-8")
+    extra = ("--target", "all") if command == "search" else ()
+    code, out, err = run(
+        capsys, command, "--sequence", str(path), f"--grid-a={grid_a}", f"--grid-b={grid_b}", *extra
+    )
+    assert_one_error_line(code, out, err, word)
+
+
+@pytest.mark.parametrize("option, value", [("--omega-off", "inf"), ("--alpha", "nan"), ("--t1", "inf")])
+def test_complex_rejects_non_finite_encoding_constants(capsys, option, value):
+    code, out, err = run(capsys, "complex", "mul", "0.5", "1", "0.5", "1", option, value)
+    assert_one_error_line(code, out, err, option[2:].replace("-", "_"), "finite")
+
+
+NUMBER_PIECE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "nan", "-inf", "1e400", "1e308", "-1e308", "x", "0", "1", "3.14"]),
+)
+GRID_SPEC = st.one_of(
+    st.lists(NUMBER_PIECE, min_size=1, max_size=5).map(",".join),
+    st.builds(
+        "lin:{}:{}:{}".format,
+        NUMBER_PIECE,
+        NUMBER_PIECE,
+        st.one_of(st.integers(-2, 20).map(str), st.sampled_from(["", "x", "2.5", "1e1"])),
+    ),
+)
+GOOD_GRID_SPEC = st.lists(st.floats(0.01, 7.0), min_size=3, max_size=5).map(lambda v: ",".join(map(repr, v)))
+FIELD = st.one_of(
+    st.sampled_from(["$A", "$B", "$C", "x", None, True, 10**400, -(10**400)]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.lists(st.integers(), max_size=2),
+)
+TEMPLATE_VALUE = st.sampled_from(["$A", "$B"]) | st.floats(0.0, 7.0)
+TEMPLATE_ELEMENT = st.one_of(
+    st.fixed_dictionaries({"type": st.just("hard_pulse"), "beta": TEMPLATE_VALUE, "phi": TEMPLATE_VALUE}),
+    st.fixed_dictionaries(
+        {"type": st.just("selective_pulse"), "beta": TEMPLATE_VALUE, "phi": TEMPLATE_VALUE,
+         "target_offset": TEMPLATE_VALUE, "tolerance": TEMPLATE_VALUE}
+    ),
+    st.fixed_dictionaries({"type": st.just("delay"), "tau": TEMPLATE_VALUE}),
+)
+
+
+@st.composite
+def fuzz_documents(draw):
+    """Template file text: a template of random elements and values in which
+    up to two fields are set to random values or removed, or now and then
+    text that is not a template at all."""
+    if draw(st.integers(0, 9)) == 0:
+        not_templates = ["", "{not json", "[1, 2]", '{"peaks": 1}', '{"peaks": [], "sequence": []}']
+        return draw(st.sampled_from(not_templates))
+    peaks = [
+        {"label": f"p{k}", "offset_rad_s": draw(st.floats(-5.0, 5.0)), "t1_s": draw(st.floats(0.1, 5.0))}
+        for k in range(draw(st.integers(1, 3)))
+    ]
+    sequence = draw(st.lists(TEMPLATE_ELEMENT, max_size=3))
+    sequence.insert(draw(st.integers(0, len(sequence))), {"type": "delay", "tau": "$A"})
+    sequence.insert(draw(st.integers(0, len(sequence))), {"type": "hard_pulse", "beta": 1.0, "phi": "$B"})
+    for _ in range(draw(st.integers(0, 2))):
+        entry = draw(st.sampled_from(peaks + sequence))
+        key = draw(st.sampled_from(sorted(entry) + ["bogus", "t1_s", "tau"]))
+        if draw(st.booleans()):
+            entry[key] = draw(FIELD)
+        else:
+            entry.pop(key, None)
+    return json.dumps({"peaks": peaks, "sequence": sequence})
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_answer_or_one_error_line(argv, code, out, err):
+    """Exit 0 with a report free of non-finite numbers, or exit 2 with one
+    error line."""
+    assert code in (0, 2), (argv, code, err)
+    if code == 0:
+        assert "nan" not in out.lower() and "inf" not in out.lower(), argv
+    else:
+        assert_one_error_line(code, out, err)
+
+
+@settings(max_examples=200, deadline=None)
+@example("selective-delay", "1e308", "3.14", ())  # the precession angle overflows
+@given(
+    st.sampled_from(["single-pulse", "two-pulse", "selective-delay"]),
+    GRID_SPEC,
+    GRID_SPEC,
+    st.sampled_from([(), ("--target", "all"), ("--target", "multiplication")]),
+)
+def test_cli_exit_codes_on_fuzzed_grid_specs(sequence, grid_a, grid_b, target):
+    command = "search" if target else "simulate"
+    argv = [command, "--sequence", sequence, f"--grid-a={grid_a}", f"--grid-b={grid_b}", *target]
+    assert_answer_or_one_error_line(argv, *run_quietly(argv))
+
+
+HUGE_INT_TEMPLATE = json.dumps(
+    {
+        "peaks": [{"label": "s", "offset_rad_s": 0.0}],
+        "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}, {"type": "delay", "tau": 10**400}],
+    }
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example(HUGE_INT_TEMPLATE, "0,1,2", "simulate")  # an int beyond the float range
+@given(fuzz_documents(), GOOD_GRID_SPEC | GRID_SPEC, st.sampled_from(["simulate", "search"]))
+def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "template.json"
+        path.write_text(document, encoding="utf-8")
+        extra = ["--target", "all"] if command == "search" else []
+        argv = [command, "--sequence", str(path), "--grid-a=0,0.5,2", f"--grid-b={grid_b}", *extra]
+        assert_answer_or_one_error_line(argv, *run_quietly(argv))

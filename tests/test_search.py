@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import npn, pc, search
+from spinlogic import npn, pc, search, spinsim
 from spinlogic.search import (
     ExperimentTable,
     Quantizer,
@@ -79,7 +79,7 @@ def test_binary_xor_subtable():
     tpl = single_pulse_template()
     for a in (math.pi / 2, 3 * math.pi / 2):
         for b in (math.pi / 2, 3 * math.pi / 2):
-            out = quantize(tpl.run(a, b))
+            out = quantize(tpl.readouts([a], [b])[0, 0])
             assert out == (1 if a == b else -1)
 
 
@@ -140,19 +140,17 @@ def test_template_requires_both_placeholders():
         )
 
 
-def test_template_json_and_instantiate():
-    text = json.dumps(
-        {
-            "peaks": [{"label": "s", "offset_rad_s": 0.0}],
-            "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}],
-        }
-    )
-    tpl = SequenceTemplate.from_json(text)
-    system, sequence = tpl.instantiate(math.pi / 2, math.pi / 2)
-    assert sequence.elements[0].beta == math.pi / 2
-    assert tpl.run(math.pi / 2, math.pi / 2) == pytest.approx(1.0)
-    # instantiation does not mutate the stored template
-    assert tpl.document["sequence"][0]["beta"] == "$A"
+def test_template_json_and_readouts():
+    document = {
+        "peaks": [{"label": "s", "offset_rad_s": 0.0}],
+        "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}],
+    }
+    tpl = SequenceTemplate.from_json(json.dumps(document))
+    assert tpl.slots == ((0, "beta", "$A"), (0, "phi", "$B"))
+    assert tpl.readouts([math.pi / 2], [math.pi / 2])[0, 0] == pytest.approx(1.0)
+    # evaluation does not mutate the parsed template or the document
+    assert tpl.sequence.elements[0].beta == 1.0
+    assert document["sequence"][0]["beta"] == "$A"
 
 
 def test_search_finds_multiplication():
@@ -193,7 +191,7 @@ def test_achievable_classes_counts_every_table():
 def test_two_pulse_template_runs():
     tpl = two_pulse_template(phi1=math.pi / 2, beta2=math.pi / 2)
     # beta1 = 0 reduces to the single-pulse surface
-    assert tpl.run(0.0, 1.2) == pytest.approx(math.sin(1.2), abs=1e-12)
+    assert tpl.readouts([0.0], [1.2])[0, 0] == pytest.approx(math.sin(1.2), abs=1e-12)
 
 
 def test_experiment_table_is_frozen_consistent():
@@ -295,7 +293,7 @@ def _two_peak_template():
 
 def test_readout_bound_scales_with_peak_count():
     tpl = _two_peak_template()
-    assert tpl.peak_count == 2
+    assert len(tpl.system.peaks) == 2
     table = evaluate_table(tpl, TRIPLE, TRIPLE)
     assert table.raw[0][0] == pytest.approx(2.0)
     # the threshold is not scaled: the summed readouts 2*sin(a)*sin(b) still
@@ -355,5 +353,108 @@ def t1_templates(draw):
 @given(t1_templates(), st.floats(0.0, 5.0), ANGLE)
 def test_t1_readout_stays_within_the_derived_bound(tpl, a, b):
     bound = search._template_quantizer(tpl, Quantizer()).saturation
-    assert abs(tpl.run(a, b)) <= bound + search.RAW_SLACK
+    assert abs(tpl.readouts([a], [b])[0, 0]) <= bound + search.RAW_SLACK
 
+
+
+# Every value here is valid in every numeric element field (tolerance > 0, tau >= 0).
+FIELD_VALUE = st.floats(0.01, 7.0)
+ANY_ELEMENT = st.one_of(
+    st.builds(lambda b, p: {"type": "hard_pulse", "beta": b, "phi": p}, FIELD_VALUE, FIELD_VALUE),
+    st.builds(
+        lambda b, p, f, t: {
+            "type": "selective_pulse", "beta": b, "phi": p, "target_offset": f, "tolerance": t,
+        },
+        FIELD_VALUE, FIELD_VALUE, st.floats(-5.0, 5.0), FIELD_VALUE,
+    ),
+    st.builds(lambda t: {"type": "delay", "tau": t}, FIELD_VALUE),
+)
+
+
+@st.composite
+def any_templates(draw):
+    """A template document of 1-3 peaks, some with T1, and hard pulses,
+    selective pulses and delays, with $A and $B in any numeric fields."""
+    peak = st.tuples(st.floats(-5.0, 5.0), st.none() | st.floats(0.1, 5.0))
+    peaks = [
+        {"label": f"p{k}", "offset_rad_s": offset, **({"t1_s": t1} if t1 is not None else {})}
+        for k, (offset, t1) in enumerate(draw(st.lists(peak, min_size=1, max_size=3)))
+    ]
+    sequence = draw(st.lists(ANY_ELEMENT, min_size=1, max_size=5))
+    fields = [(k, key) for k, e in enumerate(sequence) for key in e if key != "type"]
+    if len(fields) < 2:
+        sequence.append({"type": "hard_pulse", "beta": 1.0, "phi": 1.0})
+        fields += [(len(sequence) - 1, "beta"), (len(sequence) - 1, "phi")]
+    marks = draw(st.lists(st.sampled_from([None, "$A", "$B"]), min_size=len(fields), max_size=len(fields)))
+    a, b = draw(st.lists(st.integers(0, len(fields) - 1), min_size=2, max_size=2, unique=True))
+    marks[a], marks[b] = "$A", "$B"
+    for (k, key), mark in zip(fields, marks):
+        if mark is not None:
+            sequence[k][key] = mark
+    return {"peaks": peaks, "sequence": sequence}
+
+
+def stepwise_readout(document, a, b):
+    """Bind the document's placeholders, parse it, and fold apply_element
+    over the sequence from equilibrium."""
+    bound = {"$A": a, "$B": b}
+    sequence = [
+        {key: bound.get(v, v) if isinstance(v, str) else v for key, v in e.items()}
+        for e in document["sequence"]
+    ]
+    system, seq = spinsim.document_from_dict({"peaks": document["peaks"], "sequence": sequence})
+    state = spinsim.at_equilibrium(system)
+    for element in seq.elements:
+        state = spinsim.apply_element(state, element)
+    return spinsim.read_mx(state)
+
+
+GRID = st.lists(FIELD_VALUE, min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_templates(), GRID, GRID)
+def test_readouts_match_the_stepwise_reference(document, grid_a, grid_b):
+    values = SequenceTemplate(document).readouts(grid_a, grid_b)
+    assert values.shape == (len(grid_a), len(grid_b))
+    for i, a in enumerate(grid_a):
+        for j, b in enumerate(grid_b):
+            assert abs(values[i, j] - stepwise_readout(document, a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "element, message",
+    [
+        ({"type": "selective_pulse", "beta": "$A", "phi": "$B", "target_offset": 0.0, "tolerance": -1},
+         "tolerance must be positive"),
+        ({"type": "delay", "tau": -0.5}, "delay must be nonnegative"),
+        ({"type": "hard_pulse", "beta": "$A", "phi": "x"}, "'phi' must be a number"),
+    ],
+)
+def test_template_rejects_invalid_constants_when_constructed(monkeypatch, element, message):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the template was checked")
+
+    monkeypatch.setattr(search, "run_steps", no_simulation)
+    sequence = [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}, element]
+    with pytest.raises(ValueError, match=message):
+        SequenceTemplate({"peaks": [{"label": "s", "offset_rad_s": 0.0}], "sequence": sequence})
+
+
+def test_bound_values_are_checked_by_their_element():
+    tpl = SequenceTemplate(
+        {
+            "peaks": [{"label": "s", "offset_rad_s": 1.0}],
+            "sequence": [
+                {"type": "selective_pulse", "beta": 1.0, "phi": 0.0, "target_offset": 1.0, "tolerance": "$B"},
+                {"type": "delay", "tau": "$A"},
+            ],
+        }
+    )
+    assert tpl.readouts([0.0, 0.5], [0.5, 2.0]).shape == (2, 2)
+    with pytest.raises(ValueError, match="delay must be nonnegative"):
+        tpl.readouts([0.5, -1.0], [0.5])
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        tpl.readouts([0.5], [0.5, 0.0])
+    with pytest.raises(ValueError, match="tau must be finite"):
+        tpl.readouts([math.nan], [0.5])

@@ -21,8 +21,8 @@ from spinlogic.spinsim import (
     read_complex,
     read_mx,
     run_sequence,
-    two_pulse_grid,
 )
+from spinlogic.search import two_pulse_template
 
 
 def rotation_matrix(beta, phi):
@@ -187,9 +187,14 @@ def test_read_complex_phases():
     assert read_complex(single()) == (0.0, 0.0)
 
 
+def samples(n):
+    """n points spanning [0, 2*pi] inclusive."""
+    return [k * 2 * math.pi / (n - 1) for k in range(n)]
+
+
 def test_two_pulse_grid_against_matrix_oracle():
     n, phi1, beta2 = 7, math.pi / 2, math.pi / 2
-    grid = two_pulse_grid(n, phi1, beta2)
+    grid = two_pulse_template(phi1, beta2).readouts(samples(n), samples(n))
     for i in range(n):
         beta1 = i * 2 * math.pi / (n - 1)
         first = matvec(rotation_matrix(beta1, phi1), [0.0, 0.0, 1.0])
@@ -201,15 +206,10 @@ def test_two_pulse_grid_against_matrix_oracle():
 
 
 def test_two_pulse_grid_first_row_is_single_pulse():
-    grid = two_pulse_grid(5, 1.0, math.pi / 2)
+    grid = two_pulse_template(1.0, math.pi / 2).readouts(samples(5), samples(5))
     for j in range(5):
         phi2 = j * 2 * math.pi / 4
         assert grid[0][j] == pytest.approx(math.sin(phi2), abs=1e-12)
-
-
-def test_two_pulse_grid_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        two_pulse_grid(1, 0.0, 0.0)
 
 
 def test_sequence_composition_matches_stepwise():
