@@ -28,6 +28,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+# Largest grid a command evaluates, and largest linear grid spec it expands:
+# a grid's readouts are held as one float per point.
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(spec: str) -> list[float]:
     """Comma-separated radians, or ``lin:<start>:<stop>:<n>`` for n evenly
     spaced samples including both endpoints."""
@@ -41,6 +46,8 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, n = float(parts[1]), float(parts[2]), int(parts[3])
         if n < 2:
             raise ValueError(f"linear grid needs at least 2 points, got {n}")
+        if n > MAX_GRID_POINTS:
+            raise ValueError(f"linear grid of {n} points exceeds the limit of {MAX_GRID_POINTS}")
         return [start + k * (stop - start) / (n - 1) for k in range(n)]
     return [float(piece) for piece in spec.split(",")]
 
@@ -55,7 +62,12 @@ def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float],
         template = search_mod.selective_delay_template(args.omega_a)
     else:
         template = search_mod.SequenceTemplate.from_json(Path(name).read_text(encoding="utf-8"))
-    return template, _parse_grid(args.grid_a), _parse_grid(args.grid_b)
+    grid_a, grid_b = _parse_grid(args.grid_a), _parse_grid(args.grid_b)
+    if len(grid_a) * len(grid_b) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid of {len(grid_a)}x{len(grid_b)} points exceeds the limit of {MAX_GRID_POINTS}"
+        )
+    return template, grid_a, grid_b
 
 
 # --- classify ---------------------------------------------------------------
@@ -342,32 +354,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("simulate", help="readout grid for a sequence template")
-    p.add_argument(
+    # options of every command that evaluates a sequence template on a grid
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
         "--sequence",
         required=True,
         help="single-pulse, two-pulse, selective-delay, or a JSON template path",
     )
-    p.add_argument("--grid-a", required=True, help="comma-separated radians or lin:start:stop:n")
-    p.add_argument("--grid-b", required=True)
-    p.add_argument("--phi1", type=float, default=3 * math.pi / 2, help="two-pulse fixed phase")
-    p.add_argument("--beta2", type=float, default=math.pi / 2, help="two-pulse fixed flip angle")
-    p.add_argument("--omega-a", type=float, default=math.pi, help="selective-delay peak offset")
+    grid.add_argument("--grid-a", required=True, help="comma-separated radians or lin:start:stop:n")
+    grid.add_argument("--grid-b", required=True)
+    grid.add_argument("--phi1", type=float, default=3 * math.pi / 2, help="two-pulse fixed phase")
+    grid.add_argument("--beta2", type=float, default=math.pi / 2, help="two-pulse fixed flip angle")
+    grid.add_argument("--omega-a", type=float, default=math.pi, help="selective-delay peak offset")
+    grid.add_argument("--out", default=None)
+
+    p = sub.add_parser("simulate", parents=[grid], help="readout grid for a sequence template")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("search", help="triple search for target logic classes")
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--grid-a", required=True)
-    p.add_argument("--grid-b", required=True)
+    p = sub.add_parser("search", parents=[grid], help="triple search for target logic classes")
     p.add_argument("--target", required=True, help="multiplication, a function index, or all")
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--phi1", type=float, default=3 * math.pi / 2)
-    p.add_argument("--beta2", type=float, default=math.pi / 2)
-    p.add_argument("--omega-a", type=float, default=math.pi)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("complex", help="complex-logic product and NMR roundtrip")

@@ -74,8 +74,9 @@ class EncodingParams:
     def __post_init__(self) -> None:
         if _check_finite("t1", self.t1) <= 0:
             raise ValueError(f"t1 must be positive, got {self.t1}")
-        if _check_finite("omega_off", self.omega_off) == 0:
-            raise ValueError("omega_off must be nonzero")
+        omega_off = _check_finite("omega_off", self.omega_off)
+        if omega_off == 0 or not math.isfinite(TWO_PI / abs(omega_off)):
+            raise ValueError(f"omega_off must be nonzero, with a finite period, got {omega_off!r}")
         if _check_finite("alpha", self.alpha) <= 1:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
 

@@ -38,15 +38,11 @@ class PcSignature:
         return cls(min(r, c), max(r, c))
 
 
-def line_counts(grid: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Distinct-output counts per row and per column, each sorted ascending."""
-    rows = tuple(sorted(len(set(row)) for row in grid))
-    cols = tuple(sorted(len({row[j] for row in grid}) for j in range(len(grid[0]))))
-    return rows, cols
-
-
 def signature_of_grid(grid: Sequence[Sequence[int]]) -> PcSignature:
-    return PcSignature.of(*line_counts(grid))
+    """Signature from the distinct-output counts of each row and column."""
+    rows = [len(set(row)) for row in grid]
+    cols = [len({row[j] for row in grid}) for j in range(len(grid[0]))]
+    return PcSignature.of(rows, cols)
 
 
 def pc_signature(f: TernaryFunction) -> PcSignature:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import npn
-from .spinsim import Delay, check_document_fields, document_from_dict, run_steps
+from .spinsim import Delay, document_from_dict, run_steps
 from .ternary import TernaryFunction
 
 RAW_SLACK = 1e-9
@@ -29,34 +29,24 @@ RAW_SLACK = 1e-9
 @dataclass(frozen=True)
 class Quantizer:
     """Threshold map from readout to {-1, 0, +1}: magnitudes below epsilon
-    become 0, everything else keeps its sign.  Readouts beyond saturation
-    (plus slack) indicate a simulator contract violation, not a logic value.
-
-    ``saturation`` bounds the readout of one peak whose magnetization keeps
-    unit norm.  When a template's experiments are quantized, the bound is
-    scaled by the sum of the per-peak norm bounds, since the readout sums
-    one transverse component per peak.  Pulses and precession preserve a
-    peak's norm and a T1 delay, moving mz toward 1, raises its square by at
-    most 1, so a peak without T1 contributes 1 and a peak with T1 in a
-    sequence of d delays sqrt(1 + d).  The threshold ``epsilon`` is never
-    scaled."""
+    become 0, everything else keeps its sign.  The threshold does not scale
+    with a template's readout bound."""
 
     epsilon: float = 0.25
-    saturation: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.saturation <= 0:
-            raise ValueError(f"saturation must be positive, got {self.saturation}")
 
 
-def quantize(x, q: Quantizer = Quantizer()):
-    """Logic value of a readout (an int), or of each one in an array (int8)."""
+def quantize(x, q: Quantizer = Quantizer(), bound: float = 1.0):
+    """Logic value of a readout (an int), or of each one in an array (int8).
+    A readout beyond ``bound`` (plus slack) indicates a simulator contract
+    violation, not a logic value, and is an error."""
     x = np.asarray(x, dtype=float)
-    over = np.abs(x) > q.saturation + RAW_SLACK
+    over = np.abs(x) > bound + RAW_SLACK
     if over.any():
-        raise ValueError(f"readout {x[over][0]} outside [-{q.saturation}, {q.saturation}]")
+        raise ValueError(f"readout {x[over][0]} outside [-{bound}, {bound}]")
     values = (x >= q.epsilon).astype(np.int8) - (x <= -q.epsilon)
     return values if values.ndim else int(values)
 
@@ -69,24 +59,26 @@ class SequenceTemplate:
 
     The document is parsed once, so its errors show before any simulation;
     a placeholder parses as 1.0, which every numeric element field accepts,
-    and ``slots`` holds the (element position, field, placeholder) of each."""
+    and ``slots`` holds the (element position, field, placeholder) of each.
+
+    ``readout_bound`` bounds the summed readout at every grid point: one
+    transverse component per peak, each at most the peak's norm.  Pulses and
+    precession preserve that norm and a T1 delay, moving mz toward 1, raises
+    its square by at most 1, so a peak without T1 contributes 1 and a peak
+    with T1 in a sequence of d delays sqrt(1 + d)."""
 
     def __init__(self, document: dict):
-        check_document_fields(document)
-        slots, sequence = [], []
-        for k, element in enumerate(document["sequence"]):
-            sequence.append(dict(element))
-            for key, value in element.items():
-                if isinstance(value, str) and value.startswith("$") and key != "type":
-                    if value not in PLACEHOLDERS:
-                        raise ValueError(f"unknown placeholder {value!r} in field {key!r}")
-                    slots.append((k, key, value))
-                    sequence[-1][key] = 1.0
-        missing = [p for p in PLACEHOLDERS if p not in {name for _, _, name in slots}]
+        self.system, self.sequence, self.slots = document_from_dict(document)
+        for _, key, name in self.slots:
+            if name not in PLACEHOLDERS:
+                raise ValueError(f"unknown placeholder {name!r} in field {key!r}")
+        missing = [p for p in PLACEHOLDERS if p not in {name for _, _, name in self.slots}]
         if missing:
             raise ValueError(f"template must use both $A and $B, missing {missing}")
-        self.slots = tuple(slots)
-        self.system, self.sequence = document_from_dict({**document, "sequence": sequence})
+        delays = sum(isinstance(e, Delay) for e in self.sequence.elements)
+        self.readout_bound = sum(
+            1.0 if p.t1 is None else math.sqrt(1 + delays) for p in self.system.peaks
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceTemplate":
@@ -188,14 +180,6 @@ class ExperimentTable:
     logic: TernaryFunction
 
 
-def _template_quantizer(template: SequenceTemplate, q: Quantizer) -> Quantizer:
-    """``q`` with its per-peak saturation scaled to the bound of the
-    template's summed readout (see :class:`Quantizer`)."""
-    delays = sum(isinstance(e, Delay) for e in template.sequence.elements)
-    bound = sum(1.0 if p.t1 is None else math.sqrt(1 + delays) for p in template.system.peaks)
-    return replace(q, saturation=q.saturation * bound)
-
-
 def evaluate_table(
     template: SequenceTemplate,
     a_vals,
@@ -207,7 +191,7 @@ def evaluate_table(
     if len(a_vals) != 3 or len(b_vals) != 3:
         raise ValueError("evaluate_table needs exactly 3 values per parameter")
     raw = template.readouts(a_vals, b_vals)
-    logic = TernaryFunction.from_rows(quantize(raw, _template_quantizer(template, q)).tolist())
+    logic = TernaryFunction.from_rows(quantize(raw, q, template.readout_bound).tolist())
     return ExperimentTable(a_vals, b_vals, tuple(map(tuple, raw.tolist())), logic)
 
 
@@ -221,15 +205,15 @@ class SearchHit:
 
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
     """Digit (value + 1) readout for every grid point; triples index into this."""
-    q = _template_quantizer(template, q)
-    return (quantize(template.readouts(grid_a, grid_b), q) + 1).astype(np.uint8)
+    readouts = template.readouts(grid_a, grid_b)
+    return (quantize(readouts, q, template.readout_bound) + 1).astype(np.uint8)
 
 
 # b-triples per step of the class count; the step's working memory is about
 # 6 kB per triple (one 729-cell outer product each), whatever the grid size.
 COUNT_CHUNK = 2048
-# Triple pairs scored per block of a-triples in ``search`` (at least one
-# a-triple per block).
+# Triple pairs scored per step of ``search``: a block of a-triples times a
+# chunk of b-triples (at least one of each).
 SEARCH_BLOCK_PAIRS = 1 << 18
 _CODES = 27  # row codes: a table row of three digits read in base 3
 
@@ -305,9 +289,9 @@ def search(
     is resolved to its canonical representative first.  An empty result is a
     valid answer (the template cannot realize the targets on these grids).
 
-    Tables are scored in blocks of a-triples against every b-triple, so the
-    working memory is bounded by SEARCH_BLOCK_PAIRS pairs (or one a-triple's
-    C(m,3) pairs, if that is more) plus the hits themselves."""
+    Tables are scored in blocks of a-triples against chunks of b-triples of
+    at most SEARCH_BLOCK_PAIRS pairs, so the working memory is bounded by
+    that many pairs plus the hits themselves, whatever the grid size."""
     grid_a, grid_b = tuple(grid_a), tuple(grid_b)
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
@@ -316,26 +300,32 @@ def search(
     canon = npn.canonical_map(3)
     wanted = np.isin(canon, [npn.canonical_index(t) for t in targets])
     digits = _quantized_grid(template, grid_a, grid_b, q)
-    b_triples = np.array(list(itertools.combinations(range(len(grid_b)), 3)), dtype=np.intp)
-    block = max(1, SEARCH_BLOCK_PAIRS // len(b_triples))
+    b_count = math.comb(len(grid_b), 3)
+    b_chunk = min(b_count, SEARCH_BLOCK_PAIRS)
+    # b-triples that fit in one chunk are made once, more are made again per a-block
+    one_chunk = list(_triples(len(grid_b), b_chunk)) if b_count == b_chunk else None
     classes: dict[int, npn.NpnClass] = {}
     hits = []
-    for a_triples in _triples(len(grid_a), block):
-        codes = _row_codes(digits[a_triples], b_triples).astype(np.intp)
-        indices = codes[:, 0] + 27 * codes[:, 1] + 729 * codes[:, 2]
-        for k, l in zip(*np.nonzero(wanted[indices])):
-            index = int(indices[k, l])
-            c = int(canon[index])
-            if c not in classes:
-                classes[c] = npn.orbit(c)
-            hits.append(
-                SearchHit(
-                    tuple(grid_a[i] for i in a_triples[k]),
-                    tuple(grid_b[j] for j in b_triples[l]),
-                    index,
-                    classes[c],
+    for a_triples in _triples(len(grid_a), max(1, SEARCH_BLOCK_PAIRS // b_chunk)):
+        rows = digits[a_triples]
+        # a block of several a-triples meets every b-triple in one chunk, and a
+        # block of one meets the chunks in order, so hits come in triple order
+        for b_triples in one_chunk or _triples(len(grid_b), b_chunk):
+            codes = _row_codes(rows, b_triples).astype(np.intp)
+            indices = codes[:, 0] + 27 * codes[:, 1] + 729 * codes[:, 2]
+            for k, l in zip(*np.nonzero(wanted[indices])):
+                index = int(indices[k, l])
+                c = int(canon[index])
+                if c not in classes:
+                    classes[c] = npn.orbit(c)
+                hits.append(
+                    SearchHit(
+                        tuple(grid_a[i] for i in a_triples[k]),
+                        tuple(grid_b[j] for j in b_triples[l]),
+                        index,
+                        classes[c],
+                    )
                 )
-            )
     return hits
 
 

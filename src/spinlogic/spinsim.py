@@ -16,6 +16,10 @@ of per-peak transverse components.  The rotation and precession formulas
 are array-generic: :func:`run_steps` applies them to (points, peaks) arrays,
 the one element loop behind every simulation, and the per-element
 ``apply_*`` functions to one peak at a time, as its stepwise reference.
+
+Systems and sequences are read from JSON documents (schema below) by
+:func:`document_from_dict`, the one reader, in a single walk that also
+reports the placeholder slots of a template; nothing serializes them back.
 """
 
 from __future__ import annotations
@@ -289,7 +293,8 @@ def read_complex(s: SpinSystem) -> tuple[float, float]:
 #                "target_offset": float, "tolerance": float} |
 #               {"type": "delay", "tau": float}, ...]}
 #
-# Angles in radians, times in seconds, offsets in rad/s.
+# Angles in radians, times in seconds, offsets in rad/s.  A numeric element
+# field may instead hold a "$..." placeholder string (see document_from_dict).
 
 
 def _require(doc: dict, key: str, where: str):
@@ -309,71 +314,60 @@ def _number(doc: dict, key: str, where: str) -> float:
 
 
 ELEMENT_TYPES = {"hard_pulse": HardPulse, "selective_pulse": SelectivePulse, "delay": Delay}
-ELEMENT_NAMES = {cls: kind for kind, cls in ELEMENT_TYPES.items()}
-PEAK_FIELDS = ("label", "offset_rad_s", "t1_s")
 # an element's document fields are its type and its dataclass fields
 ELEMENT_FIELDS = {
     kind: ("type", *(f.name for f in fields(cls))) for kind, cls in ELEMENT_TYPES.items()
 }
 
 
-def _check_fields(entry, allowed: tuple[str, ...], where: str) -> None:
+def _objects(doc: dict, key: str) -> list:
+    entries = _require(doc, key, "document")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"document field {key!r} must be a list of objects")
+    return entries
+
+
+def _known_fields(entry: dict, allowed: tuple[str, ...], where: str) -> None:
     unknown = sorted(set(entry) - set(allowed))
     if unknown:
         raise ValueError(f"{where} has unknown field(s) {unknown}; allowed: {list(allowed)}")
 
 
-def check_document_fields(doc: dict) -> None:
-    """Reject a document whose peaks or elements carry a field the schema
-    does not define, or whose element type is unknown.  Field values are
-    checked when the document is parsed, since a template fills some in
-    later."""
+def document_from_dict(
+    doc: dict,
+) -> tuple[SpinSystem, PulseSequence, tuple[tuple[int, str, str], ...]]:
+    """Spin system, pulse sequence and placeholder slots of a document, read
+    in one walk that checks its structure, field names, element types and
+    numbers as it goes.
+
+    A ``"$..."`` string in a numeric element field is a placeholder: the
+    field parses as 1.0, which every numeric element field accepts, and the
+    slot (element position, field, string) is returned for the caller to
+    fill in or reject.  A document without placeholders has no slots."""
     if not isinstance(doc, dict):
         raise ValueError(f"document must be an object, got {doc!r}")
-    for key in ("peaks", "sequence"):
-        entries = _require(doc, key, "document")
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValueError(f"document field {key!r} must be a list of objects")
-    for peak in doc["peaks"]:
-        _check_fields(peak, PEAK_FIELDS, "peak")
-    for element in doc["sequence"]:
-        kind = _require(element, "type", "sequence element")
-        if not isinstance(kind, str) or kind not in ELEMENT_FIELDS:
-            raise ValueError(f"unknown sequence element type {kind!r}")
-        _check_fields(element, ELEMENT_FIELDS[kind], kind)
-
-
-def element_from_dict(doc: dict) -> SequenceElement:
-    kind = _require(doc, "type", "sequence element")
-    if not isinstance(kind, str) or kind not in ELEMENT_TYPES:
-        raise ValueError(f"unknown sequence element type {kind!r}")
-    return ELEMENT_TYPES[kind](*(_number(doc, key, kind) for key in ELEMENT_FIELDS[kind][1:]))
-
-
-def element_to_dict(e: SequenceElement) -> dict:
-    if type(e) not in ELEMENT_NAMES:
-        raise TypeError(f"unknown sequence element {e!r}")
-    return {"type": ELEMENT_NAMES[type(e)], **vars(e)}
-
-
-def document_from_dict(doc: dict) -> tuple[SpinSystem, PulseSequence]:
-    peaks = tuple(
-        Peak(
-            str(_require(p, "label", "peak")),
-            _number(p, "offset_rad_s", "peak"),
-            t1=_number(p, "t1_s", "peak") if "t1_s" in p else None,
-        )
-        for p in _require(doc, "peaks", "document")
-    )
-    elements = tuple(element_from_dict(e) for e in _require(doc, "sequence", "document"))
-    return SpinSystem(peaks), PulseSequence(elements)
-
-
-def document_to_dict(system: SpinSystem, sequence: PulseSequence) -> dict:
     peaks = []
-    for p in system.peaks:
-        entry = {"label": p.label, "offset_rad_s": p.offset}
-        if p.t1 is not None:
-            entry["t1_s"] = p.t1
-        peaks.append(entry)
-    return {"peaks": peaks, "sequence": [element_to_dict(e) for e in sequence.elements]}
+    for p in _objects(doc, "peaks"):
+        _known_fields(p, ("label", "offset_rad_s", "t1_s"), "peak")
+        peaks.append(
+            Peak(
+                str(_require(p, "label", "peak")),
+                _number(p, "offset_rad_s", "peak"),
+                t1=_number(p, "t1_s", "peak") if "t1_s" in p else None,
+            )
+        )
+    elements, slots = [], []
+    for k, e in enumerate(_objects(doc, "sequence")):
+        kind = _require(e, "type", "sequence element")
+        if not isinstance(kind, str) or kind not in ELEMENT_TYPES:
+            raise ValueError(f"unknown sequence element type {kind!r}")
+        _known_fields(e, ELEMENT_FIELDS[kind], kind)
+        values = []
+        for key in ELEMENT_FIELDS[kind][1:]:
+            if isinstance(e.get(key), str) and e[key].startswith("$"):
+                slots.append((k, key, e[key]))
+                values.append(1.0)
+            else:
+                values.append(_number(e, key, kind))
+        elements.append(ELEMENT_TYPES[kind](*values))
+    return SpinSystem(tuple(peaks)), PulseSequence(tuple(elements)), tuple(slots)

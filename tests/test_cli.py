@@ -386,6 +386,8 @@ BOUND_FIELDS_TEMPLATE = {
     [
         ("0.5,-0.25,1", "0.5,1,2", "delay must be nonnegative"),
         ("0.5,1,2", "0.5,0,1", "tolerance must be positive"),
+        ("lin:0:1:1000000000", "0.5,1,2", "1000000000 points exceeds the limit"),
+        ("lin:0:1:2000", "lin:0:1:2000", "2000x2000 points exceeds the limit"),
     ],
 )
 def test_invalid_bound_value_exits_2(tmp_path, capsys, command, grid_a, grid_b, word):
@@ -398,7 +400,10 @@ def test_invalid_bound_value_exits_2(tmp_path, capsys, command, grid_a, grid_b, 
     assert_one_error_line(code, out, err, word)
 
 
-@pytest.mark.parametrize("option, value", [("--omega-off", "inf"), ("--alpha", "nan"), ("--t1", "inf")])
+@pytest.mark.parametrize(
+    "option, value",
+    [("--omega-off", "inf"), ("--alpha", "nan"), ("--t1", "inf"), ("--omega-off", "1e-320")],
+)
 def test_complex_rejects_non_finite_encoding_constants(capsys, option, value):
     code, out, err = run(capsys, "complex", "mul", "0.5", "1", "0.5", "1", option, value)
     assert_one_error_line(code, out, err, option[2:].replace("-", "_"), "finite")

@@ -241,7 +241,7 @@ def test_histogram_counts_equal_pairwise_counts(digits):
     assert sum(got.values()) == math.comb(n, 3) * math.comb(m, 3)
 
 
-@pytest.mark.parametrize("block_pairs", [1, 7, 1 << 18])
+@pytest.mark.parametrize("block_pairs", [1, 7, 200, 1 << 18])
 def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, block_pairs):
     monkeypatch.setattr(search, "SEARCH_BLOCK_PAIRS", block_pairs)
     rng = random.Random(4)
@@ -302,9 +302,11 @@ def test_readout_bound_scales_with_peak_count():
     grid = [0.0, *TRIPLE, 5.0]
     counts = achievable_classes(tpl, grid, grid)
     assert sum(counts.values()) == math.comb(5, 3) ** 2
-    # the bound is per peak: a readout beyond saturation * peaks is still rejected
+    # the bound is one per peak: a readout just beyond it is still rejected
+    assert tpl.readout_bound == 2.0
+    assert quantize(tpl.readout_bound, bound=tpl.readout_bound) == 1
     with pytest.raises(ValueError, match="outside"):
-        evaluate_table(tpl, TRIPLE, TRIPLE, Quantizer(saturation=0.5))
+        quantize(tpl.readout_bound + 2 * search.RAW_SLACK, bound=tpl.readout_bound)
 
 
 def test_template_rejects_unknown_fields():
@@ -352,8 +354,7 @@ def t1_templates(draw):
 @settings(max_examples=150, deadline=None)
 @given(t1_templates(), st.floats(0.0, 5.0), ANGLE)
 def test_t1_readout_stays_within_the_derived_bound(tpl, a, b):
-    bound = search._template_quantizer(tpl, Quantizer()).saturation
-    assert abs(tpl.readouts([a], [b])[0, 0]) <= bound + search.RAW_SLACK
+    assert abs(tpl.readouts([a], [b])[0, 0]) <= tpl.readout_bound + search.RAW_SLACK
 
 
 
@@ -402,7 +403,7 @@ def stepwise_readout(document, a, b):
         {key: bound.get(v, v) if isinstance(v, str) else v for key, v in e.items()}
         for e in document["sequence"]
     ]
-    system, seq = spinsim.document_from_dict({"peaks": document["peaks"], "sequence": sequence})
+    system, seq, _ = spinsim.document_from_dict({"peaks": document["peaks"], "sequence": sequence})
     state = spinsim.at_equilibrium(system)
     for element in seq.elements:
         state = spinsim.apply_element(state, element)

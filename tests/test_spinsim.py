@@ -17,7 +17,6 @@ from spinlogic.spinsim import (
     apply_hard_pulse,
     apply_selective_pulse,
     document_from_dict,
-    document_to_dict,
     read_complex,
     read_mx,
     run_sequence,
@@ -243,21 +242,43 @@ def test_system_validation():
 
 
 def test_document_roundtrip():
-    system = SpinSystem((Peak("A", 100.0, t1=7.6), Peak("B", 200.0)))
-    sequence = PulseSequence(
+    doc = {
+        "peaks": [
+            {"label": "A", "offset_rad_s": 100.0, "t1_s": 7.6},
+            {"label": "B", "offset_rad_s": 200},
+        ],
+        "sequence": [
+            {"type": "selective_pulse", "beta": math.pi / 2, "phi": math.pi / 2,
+             "target_offset": 100.0, "tolerance": 25.0},
+            {"type": "delay", "tau": 0.01},
+            {"type": "hard_pulse", "beta": math.pi, "phi": 0},
+        ],
+    }
+    system, sequence, slots = document_from_dict(doc)
+    assert system == SpinSystem((Peak("A", 100.0, t1=7.6), Peak("B", 200.0)))
+    assert system.peaks[1].t1 is None
+    assert sequence == PulseSequence(
         (
             SelectivePulse(math.pi / 2, math.pi / 2, 100.0, 25.0),
             Delay(0.01),
             HardPulse(math.pi, 0.0),
         )
     )
-    doc = document_to_dict(system, sequence)
-    assert doc["peaks"][0] == {"label": "A", "offset_rad_s": 100.0, "t1_s": 7.6}
-    assert "t1_s" not in doc["peaks"][1]
-    assert doc["sequence"][2] == {"type": "hard_pulse", "beta": math.pi, "phi": 0.0}
-    back_system, back_sequence = document_from_dict(doc)
-    assert back_system == spinsim.at_equilibrium(system)
-    assert back_sequence == sequence
+    assert slots == ()
+
+
+def test_document_placeholders_become_slots():
+    doc = {
+        "peaks": [{"label": "A", "offset_rad_s": 0.0}],
+        "sequence": [{"type": "delay", "tau": "$A"}, {"type": "hard_pulse", "beta": 0.5, "phi": "$B"}],
+    }
+    _, sequence, slots = document_from_dict(doc)
+    assert slots == ((0, "tau", "$A"), (1, "phi", "$B"))
+    assert sequence == PulseSequence((Delay(1.0), HardPulse(0.5, 1.0)))
+    # a placeholder stands only for an element field, never a peak field
+    doc["peaks"][0]["offset_rad_s"] = "$A"
+    with pytest.raises(ValueError, match="'offset_rad_s' must be a number"):
+        document_from_dict(doc)
 
 
 def test_document_parse_errors():
@@ -279,16 +300,19 @@ def test_document_parse_errors():
 
 
 def test_document_fields_match_the_schema():
-    system = SpinSystem((Peak("A", 100.0, t1=7.6), Peak("B", 200.0)))
-    sequence = PulseSequence(
-        (SelectivePulse(math.pi / 2, math.pi / 2, 100.0, 25.0), Delay(0.01), HardPulse(math.pi, 0.0))
-    )
-    doc = document_to_dict(system, sequence)
-    spinsim.check_document_fields(doc)
-    for kind, fields in spinsim.ELEMENT_FIELDS.items():
-        assert set(fields) == set(next(e for e in doc["sequence"] if e["type"] == kind))
+    doc = {
+        "peaks": [{"label": "A", "offset_rad_s": 0.0}],
+        "sequence": [
+            {"type": "selective_pulse", "beta": 1.0, "phi": 1.0, "target_offset": 0.0, "tolerance": 1.0},
+            {"type": "delay", "tau": 0.01},
+            {"type": "hard_pulse", "beta": 1.0, "phi": 0.0},
+        ],
+    }
+    _, sequence, _ = document_from_dict(doc)
+    for entry, element in zip(doc["sequence"], sequence.elements):
+        assert set(entry) == set(spinsim.ELEMENT_FIELDS[entry["type"]]) == {"type", *vars(element)}
     doc["sequence"][1]["bogus"] = 1
     with pytest.raises(ValueError, match="delay has unknown field"):
-        spinsim.check_document_fields(doc)
+        document_from_dict(doc)
     with pytest.raises(ValueError, match="must be an object"):
-        spinsim.check_document_fields([])
+        document_from_dict([])
