@@ -70,6 +70,11 @@ class NpnTransform:
     def radix(self) -> int:
         return len(self.perm_a)
 
+    def cells(self) -> tuple[int, ...]:
+        """Destination cell of each source cell ``radix*da + db``."""
+        r, s = self.radix, self.swap_inputs
+        return tuple(r * ib + ia if s else r * ia + ib for ia in self.perm_a for ib in self.perm_b)
+
 
 def identity_transform(radix: int = 3) -> NpnTransform:
     ident = tuple(range(radix))
@@ -147,14 +152,9 @@ def index_of_digits(digits: tuple[int, ...], radix: int = 3) -> int:
 
 def apply_to_digits(t: NpnTransform, digits: tuple[int, ...]) -> tuple[int, ...]:
     """Transform a digit table; works for any radix."""
-    r = t.radix
-    out = [0] * (r * r)
-    for da in range(r):
-        ia = t.perm_a[da]
-        for db in range(r):
-            ib = t.perm_b[db]
-            dst = r * ib + ia if t.swap_inputs else r * ia + ib
-            out[dst] = t.perm_out[digits[r * da + db]]
+    out = [0] * len(digits)
+    for src, dst in enumerate(t.cells()):
+        out[dst] = t.perm_out[digits[src]]
     return tuple(out)
 
 
@@ -229,17 +229,9 @@ def _generators(radix: int) -> tuple[NpnTransform, ...]:
 def _gather_tables(radix: int = 3) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per generator: source cell for each destination cell, plus the output
     digit map, so a whole function set transforms in one numpy gather."""
-    r = radix
-    tables = []
-    for t in _generators(radix):
-        src_of_dst = np.empty(r * r, dtype=np.intp)
-        for da in range(r):
-            for db in range(r):
-                ia, ib = t.perm_a[da], t.perm_b[db]
-                dst = r * ib + ia if t.swap_inputs else r * ia + ib
-                src_of_dst[dst] = r * da + db
-        tables.append((src_of_dst, np.array(t.perm_out, dtype=np.uint8)))
-    return tuple(tables)
+    return tuple(
+        (np.argsort(t.cells()), np.array(t.perm_out, dtype=np.uint8)) for t in _generators(radix)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -310,6 +302,7 @@ def fixed_point_counts(radix: int = 3) -> list[int]:
     r = radix
     counts = []
     for t in all_transforms(radix):
+        # its own copy of the cell map, so the count shares no code with canonical_map
         sigma = [0] * (r * r)
         for da in range(r):
             for db in range(r):

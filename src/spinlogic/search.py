@@ -25,6 +25,11 @@ from .ternary import TernaryFunction
 
 RAW_SLACK = 1e-9
 
+# Cells per step of every grid walk, which sizes its step from the grid shape:
+# point-peaks of a readout block, a-values plus 27*27 product cells per b-triple
+# of the class count, triple pairs of the hit search.  A few MB per step.
+STEP_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -94,17 +99,23 @@ class SequenceTemplate:
 
     def readouts(self, grid_a, grid_b) -> np.ndarray:
         """Summed x readout at every grid point, shape (len(grid_a),
-        len(grid_b)), evaluated one $A value at a time over all of grid_b."""
+        len(grid_b)).  Each ``run_steps`` call takes a block of $A rows of
+        at most STEP_CELLS point-peaks (at least one row), with the $A values
+        repeated and the $B values tiled over the block."""
+        n, m = len(grid_a), len(grid_b)
+        rows = max(1, STEP_CELLS // (max(m, 1) * len(self.system.peaks)))
+        a_slots = [(k, key, np.repeat(v, m)) for k, key, v in self._checked("$A", grid_a)]
+        b_slots = [(k, key, np.tile(v, min(rows, n))) for k, key, v in self._checked("$B", grid_b)]
         steps = [(type(e), dict(vars(e))) for e in self.sequence.elements]
-        for k, key, values in self._checked("$B", grid_b):
-            steps[k][1][key] = np.array(values)[:, None]
-        a_slots = list(self._checked("$A", grid_a))
-        out = np.empty((len(grid_a), len(grid_b)))
-        for i in range(len(grid_a)):
+        out = np.empty((n, m))
+        for start in range(0, n, rows):
+            block = out[start : start + rows]
             for k, key, values in a_slots:
-                steps[k][1][key] = values[i]
-            x, _, _ = run_steps(self.system, steps, len(grid_b))
-            out[i] = sum(x.T, 0.0)  # peak by peak, as read_mx adds them
+                steps[k][1][key] = values[start * m : start * m + block.size, None]
+            for k, key, values in b_slots:
+                steps[k][1][key] = values[: block.size, None]
+            x, _, _ = run_steps(self.system, steps, block.size)
+            block[:] = sum(x.T, 0.0).reshape(block.shape)  # peak by peak, like read_mx
         return out
 
 
@@ -209,21 +220,15 @@ def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) ->
     return (quantize(readouts, q, template.readout_bound) + 1).astype(np.uint8)
 
 
-# b-triples per step of the class count; the step's working memory is about
-# 6 kB per triple (one 729-cell outer product each), whatever the grid size.
-COUNT_CHUNK = 2048
-# Triple pairs scored per step of ``search``: a block of a-triples times a
-# chunk of b-triples (at least one of each).
-SEARCH_BLOCK_PAIRS = 1 << 18
 _CODES = 27  # row codes: a table row of three digits read in base 3
 
 
 def _triples(n: int, size: int):
     """Ascending index triples of range(n) in lexicographic order, as
     (k, 3) arrays of at most ``size`` rows."""
-    combos = itertools.combinations(range(n), 3)
-    while chunk := list(itertools.islice(combos, size)):
-        yield np.array(chunk, dtype=np.intp)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
+    while (chunk := np.fromiter(itertools.islice(flat, 3 * size), dtype=np.intp)).size:
+        yield chunk.reshape(-1, 3)
 
 
 def _row_codes(digits: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,15 +250,17 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     with codes (x, y, z).  Summed over b-triples, that is the triple product
     of the histograms less pair products on the diagonals plus twice the
     single counts on the main diagonal.  Each unordered a-triple appears six
-    times in the result, once per row order, all in the same class."""
+    times in the result, once per row order, all in the same class.  A step
+    takes STEP_CELLS // (n + 27*27) b-triples, at least one."""
     n, m = digits.shape
+    chunk = max(1, STEP_CELLS // (n + _CODES * _CODES))
     # float64 matrix products are exact while every partial sum is an integer below 2**53
-    if COUNT_CHUNK * n**3 >= 2**53:
+    if chunk * n**3 >= 2**53:
         raise ValueError(f"grid of {n} a-values is too large to count exactly")
     triple = np.zeros((_CODES,) * 3, dtype=np.int64)
     pair = np.zeros((_CODES, _CODES), dtype=np.int64)
     single = np.zeros(_CODES, dtype=np.int64)
-    for b in _triples(m, COUNT_CHUNK):
+    for b in _triples(m, chunk):
         k = len(b)
         bins = _row_codes(digits, b).T + _CODES * np.arange(k)[:, None]
         hist = np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
@@ -290,8 +297,8 @@ def search(
     valid answer (the template cannot realize the targets on these grids).
 
     Tables are scored in blocks of a-triples against chunks of b-triples of
-    at most SEARCH_BLOCK_PAIRS pairs, so the working memory is bounded by
-    that many pairs plus the hits themselves, whatever the grid size."""
+    at most STEP_CELLS pairs, so the working memory is bounded by that many
+    pairs plus the hits themselves, whatever the grid size."""
     grid_a, grid_b = tuple(grid_a), tuple(grid_b)
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
@@ -301,12 +308,12 @@ def search(
     wanted = np.isin(canon, [npn.canonical_index(t) for t in targets])
     digits = _quantized_grid(template, grid_a, grid_b, q)
     b_count = math.comb(len(grid_b), 3)
-    b_chunk = min(b_count, SEARCH_BLOCK_PAIRS)
+    b_chunk = min(b_count, STEP_CELLS)
     # b-triples that fit in one chunk are made once, more are made again per a-block
     one_chunk = list(_triples(len(grid_b), b_chunk)) if b_count == b_chunk else None
     classes: dict[int, npn.NpnClass] = {}
     hits = []
-    for a_triples in _triples(len(grid_a), max(1, SEARCH_BLOCK_PAIRS // b_chunk)):
+    for a_triples in _triples(len(grid_a), max(1, STEP_CELLS // b_chunk)):
         rows = digits[a_triples]
         # a block of several a-triples meets every b-triple in one chunk, and a
         # block of one meets the chunks in order, so hits come in triple order
@@ -340,8 +347,8 @@ def achievable_classes(
 
     Counted from row-code histograms (see ``_class_counts``) rather than
     pair by pair: the cost is about O(C(m,3) * (n + 27**3)) for n values of
-    $A and m of $B, instead of O(C(n,3) * C(m,3)), and the working memory is
-    fixed by COUNT_CHUNK, whatever the grid size."""
+    $A and m of $B, instead of O(C(n,3) * C(m,3)), and each step's working
+    memory is bounded by STEP_CELLS, whatever the grid size."""
     grid_a, grid_b = tuple(grid_a), tuple(grid_b)
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")

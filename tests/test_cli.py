@@ -228,6 +228,15 @@ def test_search_all_on_a_60_point_grid_counts_every_pair(capsys):
     assert sum(int(r[3]) for r in rows) == math.comb(60, 3) ** 2 == 1_171_008_400
 
 
+def test_search_all_counts_16384_a_values(capsys):
+    code, out, err = run(
+        capsys, "search", "--sequence", "single-pulse", "--grid-a", "lin:0:6.283185307179586:16384",
+        "--grid-b", "0.5,1.5,2.5", "--target", "all", "--format", "json",
+    )
+    assert code == 0, err
+    assert sum(c["tables"] for c in json.loads(out)) == math.comb(16384, 3) == 732_873_539_584
+
+
 def test_template_file_with_unknown_field_exits_2(tmp_path, capsys):
     doc = {
         "peaks": [{"label": "s", "offset_rad_s": 0.0}],

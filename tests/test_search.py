@@ -241,9 +241,9 @@ def test_histogram_counts_equal_pairwise_counts(digits):
     assert sum(got.values()) == math.comb(n, 3) * math.comb(m, 3)
 
 
-@pytest.mark.parametrize("block_pairs", [1, 7, 200, 1 << 18])
-def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, block_pairs):
-    monkeypatch.setattr(search, "SEARCH_BLOCK_PAIRS", block_pairs)
+@pytest.mark.parametrize("step_cells", [1, 7, 200, 1 << 18])
+def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
+    monkeypatch.setattr(search, "STEP_CELLS", step_cells)
     rng = random.Random(4)
     tpl = single_pulse_template()
     grid_a = sorted(rng.uniform(0, 2 * math.pi) for _ in range(9)) + list(TRIPLE)
@@ -261,6 +261,34 @@ def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, block_pairs):
     ]
     assert expected
     assert [(h.a_values, h.b_values, h.index) for h in hits] == expected
+
+
+@pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
+def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
+    tpl = SequenceTemplate(
+        {
+            "peaks": [
+                {"label": "A", "offset_rad_s": 2.0, "t1_s": 1.0},
+                {"label": "B", "offset_rad_s": 5.0},
+            ],
+            "sequence": [
+                {"type": "hard_pulse", "beta": "$A", "phi": 0.3},
+                {"type": "delay", "tau": 0.25},
+                {"type": "selective_pulse", "beta": math.pi / 2, "phi": "$B",
+                 "target_offset": 5.0, "tolerance": 1.0},
+            ],
+        }
+    )
+    rng = random.Random(9)
+    grid_a = [rng.uniform(0, 2 * math.pi) for _ in range(7)]
+    grid_b = [rng.uniform(0, 2 * math.pi) for _ in range(5)]
+    digits = np.random.default_rng(9).integers(0, 3, size=(13, 9)).astype(np.uint8)
+    expected = tpl.readouts(grid_a, grid_b)
+    monkeypatch.setattr(search, "STEP_CELLS", step_cells)
+    # at 64 cells a block holds 6 of the 7 rows of 5 points times 2 peaks
+    assert np.array_equal(tpl.readouts(grid_a, grid_b), expected)
+    values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
+    assert search._class_counts(digits) == dict(zip(values.tolist(), counts.tolist()))
 
 
 def test_search_computes_each_class_orbit_once(monkeypatch):
