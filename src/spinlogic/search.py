@@ -26,8 +26,9 @@ from .ternary import TernaryFunction
 RAW_SLACK = 1e-9
 
 # Cells per step of every grid walk, which sizes its step from the grid shape:
-# point-peaks of a readout block, a-values plus 27*27 product cells per b-triple
-# of the class count, triple pairs of the hit search.  A few MB per step.
+# point-peaks of a readout block; per b-triple, a-values plus 27*27 product
+# cells of the class count, or a-values plus at most 27*27 a-triples of the hit
+# search, whose a-triple blocks also hold at most this many pairs.  A few MB.
 STEP_CELLS = 1 << 18
 
 
@@ -87,7 +88,11 @@ class SequenceTemplate:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceTemplate":
-        return cls(json.loads(text))
+        try:
+            document = json.loads(text)
+        except RecursionError:
+            raise ValueError("template JSON is nested too deeply") from None
+        return cls(document)
 
     def _checked(self, name: str, grid):
         """(position, field, values) for each slot of placeholder ``name``,
@@ -216,6 +221,8 @@ class SearchHit:
 
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
     """Digit (value + 1) readout for every grid point; triples index into this."""
+    if len(grid_a) < 3 or len(grid_b) < 3:
+        raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
     readouts = template.readouts(grid_a, grid_b)
     return (quantize(readouts, q, template.readout_bound) + 1).astype(np.uint8)
 
@@ -296,44 +303,36 @@ def search(
     is resolved to its canonical representative first.  An empty result is a
     valid answer (the template cannot realize the targets on these grids).
 
-    Tables are scored in blocks of a-triples against chunks of b-triples of
-    at most STEP_CELLS pairs, so the working memory is bounded by that many
-    pairs plus the hits themselves, whatever the grid size."""
-    grid_a, grid_b = tuple(grid_a), tuple(grid_b)
-    if len(grid_a) < 3 or len(grid_b) < 3:
-        raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
-    if not targets:
-        return []
+    One walk over the b-triples, as in ``_class_counts``: a step takes
+    STEP_CELLS // (n + min(C(n,3), 27*27)) b-triples, at least one, and the
+    row codes of all n rows under them; the a-triples are scored against
+    those codes in blocks of STEP_CELLS // (b-triples in the step).  So each
+    b-triple is made once and the working memory is bounded by STEP_CELLS
+    cells plus the hits, which are sorted into triple order at the end."""
     canon = npn.canonical_map(3)
     wanted = np.isin(canon, [npn.canonical_index(t) for t in targets])
     digits = _quantized_grid(template, grid_a, grid_b, q)
-    b_count = math.comb(len(grid_b), 3)
-    b_chunk = min(b_count, STEP_CELLS)
-    # b-triples that fit in one chunk are made once, more are made again per a-block
-    one_chunk = list(_triples(len(grid_b), b_chunk)) if b_count == b_chunk else None
-    classes: dict[int, npn.NpnClass] = {}
-    hits = []
-    for a_triples in _triples(len(grid_a), max(1, STEP_CELLS // b_chunk)):
-        rows = digits[a_triples]
-        # a block of several a-triples meets every b-triple in one chunk, and a
-        # block of one meets the chunks in order, so hits come in triple order
-        for b_triples in one_chunk or _triples(len(grid_b), b_chunk):
-            codes = _row_codes(rows, b_triples).astype(np.intp)
-            indices = codes[:, 0] + 27 * codes[:, 1] + 729 * codes[:, 2]
-            for k, l in zip(*np.nonzero(wanted[indices])):
-                index = int(indices[k, l])
-                c = int(canon[index])
-                if c not in classes:
-                    classes[c] = npn.orbit(c)
-                hits.append(
-                    SearchHit(
-                        tuple(grid_a[i] for i in a_triples[k]),
-                        tuple(grid_b[j] for j in b_triples[l]),
-                        index,
-                        classes[c],
-                    )
-                )
-    return hits
+    n, m = digits.shape
+    found = []
+    for b in _triples(m, max(1, STEP_CELLS // (n + min(math.comb(n, 3), _CODES * _CODES)))):
+        codes = _row_codes(digits, b).astype(np.intp)
+        for a in _triples(n, max(1, STEP_CELLS // len(b))):
+            indices = codes[a[:, 0]] + 27 * codes[a[:, 1]] + 729 * codes[a[:, 2]]
+            k, l = np.nonzero(wanted[indices])
+            found.append(np.column_stack((a[k], b[l], indices[k, l])))
+    found = np.concatenate(found)
+    # distinct (a-triple, b-triple) index tuples: their order is the triple order
+    found = found[np.lexsort(found[:, 5::-1].T)]
+    classes = {c: npn.orbit(c) for c in np.unique(canon[found[:, 6]]).tolist()}
+    return [
+        SearchHit(
+            tuple(grid_a[i] for i in row[:3]),
+            tuple(grid_b[j] for j in row[3:6]),
+            row[6],
+            classes[int(canon[row[6]])],
+        )
+        for row in found.tolist()
+    ]
 
 
 def achievable_classes(
@@ -349,7 +348,4 @@ def achievable_classes(
     pair by pair: the cost is about O(C(m,3) * (n + 27**3)) for n values of
     $A and m of $B, instead of O(C(n,3) * C(m,3)), and each step's working
     memory is bounded by STEP_CELLS, whatever the grid size."""
-    grid_a, grid_b = tuple(grid_a), tuple(grid_b)
-    if len(grid_a) < 3 or len(grid_b) < 3:
-        raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
     return _class_counts(_quantized_grid(template, grid_a, grid_b, q))

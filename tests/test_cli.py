@@ -409,6 +409,17 @@ def test_invalid_bound_value_exits_2(tmp_path, capsys, command, grid_a, grid_b, 
     assert_one_error_line(code, out, err, word)
 
 
+@pytest.mark.parametrize("command", ["simulate", "search"])
+def test_deeply_nested_template_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "seq.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    extra = ("--target", "all") if command == "search" else ()
+    code, out, err = run(
+        capsys, command, "--sequence", str(path), "--grid-a", TRIPLE_CSV, "--grid-b", TRIPLE_CSV, *extra
+    )
+    assert_one_error_line(code, out, err, "nested too deeply")
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--omega-off", "inf"), ("--alpha", "nan"), ("--t1", "inf"), ("--omega-off", "1e-320")],

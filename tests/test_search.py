@@ -244,12 +244,23 @@ def test_histogram_counts_equal_pairwise_counts(digits):
 @pytest.mark.parametrize("step_cells", [1, 7, 200, 1 << 18])
 def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
+    made = {}
+    triples = search._triples
+
+    def counting_triples(n, size):
+        for chunk in triples(n, size):
+            made[n] = made.get(n, 0) + len(chunk)
+            yield chunk
+
+    monkeypatch.setattr(search, "_triples", counting_triples)
     rng = random.Random(4)
     tpl = single_pulse_template()
     grid_a = sorted(rng.uniform(0, 2 * math.pi) for _ in range(9)) + list(TRIPLE)
     grid_b = list(TRIPLE) + sorted(rng.uniform(0, 2 * math.pi) for _ in range(6))
     targets = {encode(multiplication()), 0}
     hits = search.search(tpl, grid_a, grid_b, targets=targets)
+    # each b-triple is made once, whatever the step
+    assert made[len(grid_b)] == math.comb(len(grid_b), 3)
 
     indices = _table_indices(search._quantized_grid(tpl, grid_a, grid_b, Quantizer()))
     wanted = [npn.canonical_index(t) for t in targets]
