@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import complexlogic, npn, pc, search as search_mod
 from .ternary import encode, multiplication
 
@@ -222,14 +224,16 @@ def cmd_search(args) -> int:
 
     if args.target == "all":
         counts = search_mod.achievable_classes(template, grid_a, grid_b, quantizer)
+        sizes = np.bincount(npn.canonical_map(3))
+        canonicals = np.flatnonzero(sizes).tolist()
         rows = [
             {
-                "canonical": c.canonical,
-                "size": c.size,
-                "achievable": c.canonical in counts,
-                "tables": counts.get(c.canonical, 0),
+                "canonical": c,
+                "size": size,
+                "achievable": c in counts,
+                "tables": counts.get(c, 0),
             }
-            for c in npn.classify_all()
+            for c, size in zip(canonicals, sizes[canonicals].tolist())
         ]
         if args.format == "json":
             text = json.dumps(rows, sort_keys=True, indent=2) + "\n"

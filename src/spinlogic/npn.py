@@ -228,9 +228,9 @@ def _generators(radix: int) -> tuple[NpnTransform, ...]:
 @functools.lru_cache(maxsize=None)
 def _gather_tables(radix: int = 3) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per generator: source cell for each destination cell, plus the output
-    digit map, so a whole function set transforms in one numpy gather."""
+    digit map, so a whole function set transforms by one numpy gather per cell."""
     return tuple(
-        (np.argsort(t.cells()), np.array(t.perm_out, dtype=np.uint8)) for t in _generators(radix)
+        (np.argsort(t.cells()), np.array(t.perm_out, dtype=np.int64)) for t in _generators(radix)
     )
 
 
@@ -248,13 +248,15 @@ def canonical_map(radix: int = 3) -> np.ndarray:
     orbit minimum everywhere.
     """
     digits = _all_digit_tables(radix)
-    cells = radix * radix
-    powers = radix ** np.arange(cells, dtype=np.int64)
-    images = [
-        vperm[digits[:, src_of_dst]].astype(np.int64) @ powers
-        for src_of_dst, vperm in _gather_tables(radix)
-    ]
-    label = np.arange(radix**cells, dtype=np.int64)
+    count = len(digits)
+    images = []
+    for src_of_dst, vperm in _gather_tables(radix):
+        # the image's index, one digit column at a time
+        image = np.zeros(count, dtype=np.int64)
+        for c, src in enumerate(src_of_dst.tolist()):
+            image += vperm[digits[:, src]] * radix**c
+        images.append(image)
+    label = np.arange(count, dtype=np.int64)
     while True:
         previous = label
         for image in images:
@@ -277,10 +279,13 @@ def canonical_index(index: int, radix: int = 3) -> int:
 def classify_all(radix: int = 3) -> list[NpnClass]:
     """Partition every function of the radix (19,683 ternary, 16 binary)
     into equivalence classes, sorted by canonical index."""
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(canonical_map(radix).tolist()):
-        groups.setdefault(c, []).append(i)
-    return [NpnClass(c, tuple(members), radix) for c, members in sorted(groups.items())]
+    canon = canonical_map(radix)
+    order = np.argsort(canon, kind="stable")
+    _, starts = np.unique(canon[order], return_index=True)
+    return [
+        NpnClass(int(canon[members[0]]), tuple(members.tolist()), radix)
+        for members in np.split(order, starts[1:])
+    ]
 
 
 def _iterate(perm: tuple[int, ...], d: int, times: int) -> int:

@@ -93,7 +93,7 @@ def pc_classify_all(radix: int = 3) -> list[PcClass]:
             PcClass(
                 PcSignature.of(rows[first].tolist(), cols[first].tolist()),
                 tuple(members.tolist()),
-                tuple(np.unique(canon[members]).tolist()),
+                tuple(sorted(set(canon[members].tolist()))),
             )
         )
     return classes

@@ -26,9 +26,10 @@ from .ternary import TernaryFunction
 RAW_SLACK = 1e-9
 
 # Cells per step of every grid walk, which sizes its step from the grid shape:
-# point-peaks of a readout block; per b-triple, a-values plus 27*27 product
-# cells of the class count, or a-values plus at most 27*27 a-triples of the hit
-# search, whose a-triple blocks also hold at most this many pairs.  A few MB.
+# point-peaks of a readout block; per b-triple, a-values plus 27*27 cells of the
+# class count, which keep each of its 27x27 slice products within this many
+# multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
+# whose a-triple blocks also hold at most this many pairs.  A few MB.
 STEP_CELLS = 1 << 18
 
 
@@ -257,14 +258,21 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     with codes (x, y, z).  Summed over b-triples, that is the triple product
     of the histograms less pair products on the diagonals plus twice the
     single counts on the main diagonal.  Each unordered a-triple appears six
-    times in the result, once per row order, all in the same class.  A step
-    takes STEP_CELLS // (n + 27*27) b-triples, at least one."""
+    times in the result, once per row order, all in the same class.
+
+    A step takes k = STEP_CELLS // (n + 27*27) b-triples, at least one, and
+    adds its triple product slice by slice: the slice of code z is the
+    (27, k) @ (k, 27) product of the histograms with themselves weighted by
+    the count of z.  So a step holds its (k, n) row codes and a few (k, 27)
+    arrays, never a (k, 27*27) outer product, and with 27*27*k at most
+    STEP_CELLS each product is small enough for BLAS to run on one thread."""
     n, m = digits.shape
     chunk = max(1, STEP_CELLS // (n + _CODES * _CODES))
     # float64 matrix products are exact while every partial sum is an integer below 2**53
     if chunk * n**3 >= 2**53:
         raise ValueError(f"grid of {n} a-values is too large to count exactly")
     triple = np.zeros((_CODES,) * 3, dtype=np.int64)
+    step_triple = np.empty((_CODES,) * 3)
     pair = np.zeros((_CODES, _CODES), dtype=np.int64)
     single = np.zeros(_CODES, dtype=np.int64)
     for b in _triples(m, chunk):
@@ -272,8 +280,9 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
         bins = _row_codes(digits, b).T + _CODES * np.arange(k)[:, None]
         hist = np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
         h = hist.astype(np.float64)
-        outer = (h[:, :, None] * h[:, None, :]).reshape(k, _CODES * _CODES)
-        triple += (outer.T @ h).astype(np.int64).reshape(triple.shape)
+        for z in range(_CODES):
+            np.matmul(h.T, h * h[:, z : z + 1], out=step_triple[z])
+        triple += step_triple.astype(np.int64)
         pair += (h.T @ h).astype(np.int64)
         single += hist.sum(axis=0)
     diag = np.arange(_CODES)
@@ -323,7 +332,7 @@ def search(
     found = np.concatenate(found)
     # distinct (a-triple, b-triple) index tuples: their order is the triple order
     found = found[np.lexsort(found[:, 5::-1].T)]
-    classes = {c: npn.orbit(c) for c in np.unique(canon[found[:, 6]]).tolist()}
+    classes = {c: npn.orbit(c) for c in sorted(set(canon[found[:, 6]].tolist()))}
     return [
         SearchHit(
             tuple(grid_a[i] for i in row[:3]),

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinlogic
 from spinlogic import npn
 from spinlogic.cli import main
 from spinlogic.search import evaluate_table, selective_delay_inputs, two_pulse_template
@@ -535,3 +539,20 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
         extra = ["--target", "all"] if command == "search" else []
         argv = [command, "--sequence", str(path), "--grid-a=0,0.5,2", f"--grid-b={grid_b}", *extra]
         assert_answer_or_one_error_line(argv, *run_quietly(argv))
+
+
+def test_classify_and_hit_search_do_not_import_numpy_ma():
+    # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports it
+    script = (
+        "import contextlib, io, sys\n"
+        "from spinlogic.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['classify', '--radix', '3']) == 0\n"
+        "    assert main(['search', '--sequence', 'single-pulse', '--grid-a', 'lin:0:6.283185307179586:8',\n"
+        "                 '--grid-b', 'lin:0:6.283185307179586:8', '--target', 'multiplication']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -147,6 +147,15 @@ def test_classify_all_partitions_everything():
     assert [c.canonical for c in classes] == sorted(c.canonical for c in classes)
 
 
+@pytest.mark.parametrize("radix", [2, 3])
+def test_classify_all_equals_dict_grouping(radix):
+    groups = {}
+    for i, c in enumerate(npn.canonical_map(radix).tolist()):
+        groups.setdefault(c, []).append(i)
+    expected = [npn.NpnClass(c, tuple(members), radix) for c, members in sorted(groups.items())]
+    assert npn.classify_all(radix) == expected
+
+
 def test_orbit_sizes_divide_group_order():
     for c in npn.classify_all():
         assert 432 % c.size == 0

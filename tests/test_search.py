@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     assert np.array_equal(tpl.readouts(grid_a, grid_b), expected)
     values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
     assert search._class_counts(digits) == dict(zip(values.tolist(), counts.tolist()))
+
+
+def test_class_count_working_memory_does_not_grow_with_the_step():
+    grid = [2 * math.pi * k / 23 for k in range(24)]
+    digits = search._quantized_grid(two_pulse_template(), grid, grid, Quantizer())
+    npn.canonical_map(3)
+    # steps of 348 b-triples: a (348, 27*27) float64 outer product alone is 2 MB
+    assert max(1, search.STEP_CELLS // (24 + 27 * 27)) == 348
+    tracemalloc.start()
+    try:
+        search._class_counts(digits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_search_computes_each_class_orbit_once(monkeypatch):
