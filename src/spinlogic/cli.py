@@ -23,16 +23,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces, out: str | None) -> None:
+    """Write a report's text pieces, in order, to stdout or to the file ``out``."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-# Largest grid a command evaluates, and largest linear grid spec it expands:
-# a grid's readouts are held as one float per point.
-MAX_GRID_POINTS = 10**6
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -48,8 +45,10 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, n = float(parts[1]), float(parts[2]), int(parts[3])
         if n < 2:
             raise ValueError(f"linear grid needs at least 2 points, got {n}")
-        if n > MAX_GRID_POINTS:
-            raise ValueError(f"linear grid of {n} points exceeds the limit of {MAX_GRID_POINTS}")
+        if n > search_mod.MAX_GRID_POINTS:
+            raise ValueError(
+                f"linear grid of {n} points exceeds the limit of {search_mod.MAX_GRID_POINTS}"
+            )
         return [start + k * (stop - start) / (n - 1) for k in range(n)]
     return [float(piece) for piece in spec.split(",")]
 
@@ -65,9 +64,10 @@ def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float],
     else:
         template = search_mod.SequenceTemplate.from_json(Path(name).read_text(encoding="utf-8"))
     grid_a, grid_b = _parse_grid(args.grid_a), _parse_grid(args.grid_b)
-    if len(grid_a) * len(grid_b) > MAX_GRID_POINTS:
+    if len(grid_a) * len(grid_b) > search_mod.MAX_GRID_POINTS:
         raise ValueError(
-            f"grid of {len(grid_a)}x{len(grid_b)} points exceeds the limit of {MAX_GRID_POINTS}"
+            f"grid of {len(grid_a)}x{len(grid_b)} points exceeds the limit of"
+            f" {search_mod.MAX_GRID_POINTS}"
         )
     return template, grid_a, grid_b
 
@@ -121,6 +121,14 @@ def _classify_report(radix: int) -> dict:
     }
 
 
+def _pc_signature_and_kind(c: dict, within: str, between: str) -> tuple[str, str]:
+    """A PC class of the report as text: its signature, each multiset joined
+    by ``within`` and the two by ``between``, and its kind, ``single`` when it
+    spans one NPN class, else ``overlap``."""
+    signature = between.join(within.join(map(str, s)) for s in c["signature"])
+    return signature, "single" if c["single_npn"] else "overlap"
+
+
 def _classify_text(report: dict) -> str:
     lines = [
         f"radix: {report['radix']}",
@@ -138,10 +146,9 @@ def _classify_text(report: dict) -> str:
     lines.append("")
     lines.append("pc signature        members  kind     npn classes")
     for c in report["pc_classes"]:
-        sig = ",".join(map(str, c["signature"][0])) + "|" + ",".join(map(str, c["signature"][1]))
-        spanned = c["npn_canonicals"]
-        kind = "single" if c["single_npn"] else "overlap"
-        lines.append(f"{sig:<18}  {c['member_count']:>7d}  {kind:<7}  {' '.join(map(str, spanned))}")
+        sig, kind = _pc_signature_and_kind(c, ",", "|")
+        spanned = " ".join(map(str, c["npn_canonicals"]))
+        lines.append(f"{sig:<18}  {c['member_count']:>7d}  {kind:<7}  {spanned}")
     return "\n".join(lines) + "\n"
 
 
@@ -164,11 +171,9 @@ def _classify_csv(report: dict) -> str:
     lines.append("")
     lines.append("signature_first,signature_second,member_count,kind,npn_canonicals")
     for c in report["pc_classes"]:
-        first = ";".join(map(str, c["signature"][0]))
-        second = ";".join(map(str, c["signature"][1]))
-        spanned = c["npn_canonicals"]
-        kind = "single" if c["single_npn"] else "overlap"
-        lines.append(f"{first},{second},{c['member_count']},{kind},{';'.join(map(str, spanned))}")
+        sig, kind = _pc_signature_and_kind(c, ";", ",")
+        spanned = ";".join(map(str, c["npn_canonicals"]))
+        lines.append(f"{sig},{c['member_count']},{kind},{spanned}")
     return "\n".join(lines) + "\n"
 
 
@@ -180,7 +185,7 @@ def cmd_classify(args) -> int:
         text = _classify_csv(report)
     else:
         text = _classify_text(report)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0 if report["self_check"] == "pass" else 1
 
 
@@ -205,7 +210,7 @@ def cmd_simulate(args) -> int:
         text = "\n".join(rows) + "\n"
     else:
         text = _grid_csv(grid_a, grid_b, values)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
@@ -216,6 +221,45 @@ def _resolve_target(spec: str) -> int:
     if spec == "multiplication":
         return encode(multiplication())
     return int(spec)
+
+
+def _hit_report(rows, grid_a: list[float], grid_b: list[float], fmt: str):
+    """Text pieces of the hit report on the rows of ``search.hit_rows``, a
+    few hundred rows per piece, one format string per row.  Byte-identical to
+    ``json.dumps(hits, sort_keys=True, indent=2) + "\n"`` of a list of hit
+    objects, or to the CSV of one line per hit; each grid value is formatted
+    once, and each class's canonical and size come from the canonical map."""
+    as_json = fmt == "json"
+    if as_json:
+        value_text, head, sep, tail = json.dumps, "[\n", ",\n", "\n]\n"
+        line = (
+            '  {\n    "a_values": [\n      %s,\n      %s,\n      %s\n    ],\n'
+            '    "b_values": [\n      %s,\n      %s,\n      %s\n    ],\n'
+            '    "canonical": %d,\n    "class_size": %d,\n    "table_index": %d\n  }'
+        )
+    else:
+        value_text, sep, tail = _fmt, "\n", "\n"
+        head = "a1,a2,a3,b1,b2,b3,table_index,canonical,class_size\n"
+        line = "%s,%s,%s,%s,%s,%s,%d,%d,%d"
+    if not len(rows):
+        yield "[]\n" if as_json else head
+        return
+    a_text, b_text = [value_text(v) for v in grid_a], [value_text(v) for v in grid_b]
+    canon = npn.canonical_map(3)
+    sizes = np.bincount(canon)
+    yield head
+    per_piece = 256
+    for start in range(0, len(rows), per_piece):
+        block = rows[start : start + per_piece]
+        index = block[:, 6]
+        canonical = canon[index]
+        size = sizes[canonical]
+        numbers = np.column_stack((canonical, size, index) if as_json else (index, canonical, size))
+        yield (sep if start else "") + sep.join(
+            line % (a_text[i], a_text[j], a_text[k], b_text[x], b_text[y], b_text[z], *n)
+            for (i, j, k, x, y, z), n in zip(block[:, :6].tolist(), numbers.tolist())
+        )
+    yield tail
 
 
 def cmd_search(args) -> int:
@@ -242,32 +286,12 @@ def cmd_search(args) -> int:
             for r in rows:
                 lines.append(f"{r['canonical']},{r['size']},{str(r['achievable']).lower()},{r['tables']}")
             text = "\n".join(lines) + "\n"
-        _emit(text, args.out)
+        _emit([text], args.out)
         return 0
 
     target = _resolve_target(args.target)
-    hits = search_mod.search(template, grid_a, grid_b, quantizer, targets={target})
-    if args.format == "json":
-        doc = [
-            {
-                "a_values": list(h.a_values),
-                "b_values": list(h.b_values),
-                "table_index": h.index,
-                "canonical": h.npn_class.canonical,
-                "class_size": h.npn_class.size,
-            }
-            for h in hits
-        ]
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = ["a1,a2,a3,b1,b2,b3,table_index,canonical,class_size"]
-        for h in hits:
-            values = [_fmt(v) for v in (*h.a_values, *h.b_values)]
-            lines.append(
-                ",".join(values + [str(h.index), str(h.npn_class.canonical), str(h.npn_class.size)])
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    rows = search_mod.hit_rows(template, grid_a, grid_b, quantizer, targets={target})
+    _emit(_hit_report(rows, grid_a, grid_b, args.format), args.out)
     return 0
 
 
@@ -288,7 +312,7 @@ def cmd_complex(args) -> int:
             text = json.dumps({"theta": args.values[0], "ptruth": value}, sort_keys=True) + "\n"
         else:
             text = f"ptruth({_fmt(args.values[0])}) = {_fmt(value)}\n"
-        _emit(text, args.out)
+        _emit([text], args.out)
         return 0
 
     r1, t1, r2, t2 = args.values
@@ -341,7 +365,7 @@ def cmd_complex(args) -> int:
                 )
             )
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 

@@ -225,12 +225,18 @@ def _generators(radix: int) -> tuple[NpnTransform, ...]:
     )
 
 
+def _index_dtype(radix: int) -> np.dtype:
+    """Smallest unsigned dtype that holds ``radix**cells`` (uint16 for radix 3)."""
+    return np.min_scalar_type(radix ** (radix * radix))
+
+
 @functools.lru_cache(maxsize=None)
 def _gather_tables(radix: int = 3) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per generator: source cell for each destination cell, plus the output
     digit map, so a whole function set transforms by one numpy gather per cell."""
     return tuple(
-        (np.argsort(t.cells()), np.array(t.perm_out, dtype=np.int64)) for t in _generators(radix)
+        (np.argsort(t.cells()), np.array(t.perm_out, dtype=_index_dtype(radix)))
+        for t in _generators(radix)
     )
 
 
@@ -245,18 +251,19 @@ def canonical_map(radix: int = 3) -> np.ndarray:
     a round changes nothing.  A label always names a member of the function's
     orbit.  In a finite group each inverse is a power of its element, so the
     forward edges alone connect every orbit and the fixed point holds the
-    orbit minimum everywhere.
+    orbit minimum everywhere.  Images and labels are function indices, held
+    in the smallest unsigned dtype that holds them.
     """
     digits = _all_digit_tables(radix)
-    count = len(digits)
+    count, dtype = len(digits), _index_dtype(radix)
     images = []
     for src_of_dst, vperm in _gather_tables(radix):
         # the image's index, one digit column at a time
-        image = np.zeros(count, dtype=np.int64)
+        image = np.zeros(count, dtype=dtype)
         for c, src in enumerate(src_of_dst.tolist()):
             image += vperm[digits[:, src]] * radix**c
         images.append(image)
-    label = np.arange(count, dtype=np.int64)
+    label = np.arange(count, dtype=dtype)
     while True:
         previous = label
         for image in images:

@@ -29,8 +29,14 @@ RAW_SLACK = 1e-9
 # point-peaks of a readout block; per b-triple, a-values plus 27*27 cells of the
 # class count, which keep each of its 27x27 slice products within this many
 # multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
-# whose a-triple blocks also hold at most this many pairs.  A few MB.
+# whose a-triple blocks also hold at most this many pairs of uint16 function
+# indices.  A few MB.
 STEP_CELLS = 1 << 18
+
+# Largest grid a command evaluates, largest linear grid spec it expands, and
+# most hits a search lists: a grid's readouts are held as one float per point,
+# a hit as seven int32 indices.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -300,6 +306,60 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     return dict(zip(hit.tolist(), (per_class[hit] // 6).tolist()))
 
 
+def hit_rows(
+    template: SequenceTemplate,
+    grid_a,
+    grid_b,
+    q: Quantizer = Quantizer(),
+    targets=frozenset(),
+) -> np.ndarray:
+    """Every ascending triple choice whose table lands in a target class, as
+    an (h, 7) int32 array in lexicographic triple order: each row holds the
+    grid_a indices i < j < k, the grid_b indices x < y < z and the table's
+    function index.  ``targets`` holds function indices; each is resolved to
+    its canonical representative first.  An empty result is a valid answer
+    (the template cannot realize the targets on these grids).
+
+    One walk over the b-triples, as in ``_class_counts``: a step takes
+    STEP_CELLS // (n + min(C(n,3), 27*27)) b-triples, at least one, and the
+    row codes of all n rows under them; the a-triples are scored against
+    those codes in blocks of STEP_CELLS // (b-triples in the step), whose
+    uint16 function indices are built in place.  So each b-triple is made
+    once and the working memory is bounded by STEP_CELLS cells plus the
+    rows, which are sorted into triple order at the end.  Past
+    MAX_GRID_POINTS kept rows the walk stops, drops them and raises a
+    ValueError that names the exact number of hits, counted by
+    ``_class_counts``."""
+    classes = {npn.canonical_index(t) for t in targets}
+    wanted = np.isin(npn.canonical_map(3), list(classes))
+    digits = _quantized_grid(template, grid_a, grid_b, q)
+    n, m = digits.shape
+    found, kept = [], 0
+    for b in _triples(m, max(1, STEP_CELLS // (n + min(math.comb(n, 3), _CODES * _CODES)))):
+        codes = _row_codes(digits, b).astype(np.uint16)
+        for a in _triples(n, max(1, STEP_CELLS // len(b))):
+            # code_i + 27*code_j + 729*code_k, by Horner's rule
+            index = codes[a[:, 2]]
+            index *= _CODES
+            index += codes[a[:, 1]]
+            index *= _CODES
+            index += codes[a[:, 0]]
+            k, l = np.nonzero(wanted[index])
+            rows = np.empty((len(k), 7), dtype=np.int32)
+            rows[:, :3], rows[:, 3:6], rows[:, 6] = a[k], b[l], index[k, l]
+            found.append(rows)
+            kept += len(rows)
+            if kept > MAX_GRID_POINTS:
+                found.clear()
+                total = sum(_class_counts(digits).get(c, 0) for c in classes)
+                raise ValueError(
+                    f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}"
+                )
+    found = np.concatenate(found)
+    # distinct (a-triple, b-triple) index tuples: their order is the triple order
+    return found[np.lexsort(found[:, 5::-1].T)]
+
+
 def search(
     template: SequenceTemplate,
     grid_a,
@@ -307,32 +367,12 @@ def search(
     q: Quantizer = Quantizer(),
     targets=frozenset(),
 ) -> list[SearchHit]:
-    """All ascending triple choices whose table lands in a target class,
-    in lexicographic triple order.  ``targets`` holds function indices; each
-    is resolved to its canonical representative first.  An empty result is a
-    valid answer (the template cannot realize the targets on these grids).
-
-    One walk over the b-triples, as in ``_class_counts``: a step takes
-    STEP_CELLS // (n + min(C(n,3), 27*27)) b-triples, at least one, and the
-    row codes of all n rows under them; the a-triples are scored against
-    those codes in blocks of STEP_CELLS // (b-triples in the step).  So each
-    b-triple is made once and the working memory is bounded by STEP_CELLS
-    cells plus the hits, which are sorted into triple order at the end."""
+    """The hits of :func:`hit_rows` as grid values, function index and
+    equivalence class, in the same order; each class's orbit is computed
+    once."""
+    rows = hit_rows(template, grid_a, grid_b, q, targets)
     canon = npn.canonical_map(3)
-    wanted = np.isin(canon, [npn.canonical_index(t) for t in targets])
-    digits = _quantized_grid(template, grid_a, grid_b, q)
-    n, m = digits.shape
-    found = []
-    for b in _triples(m, max(1, STEP_CELLS // (n + min(math.comb(n, 3), _CODES * _CODES)))):
-        codes = _row_codes(digits, b).astype(np.intp)
-        for a in _triples(n, max(1, STEP_CELLS // len(b))):
-            indices = codes[a[:, 0]] + 27 * codes[a[:, 1]] + 729 * codes[a[:, 2]]
-            k, l = np.nonzero(wanted[indices])
-            found.append(np.column_stack((a[k], b[l], indices[k, l])))
-    found = np.concatenate(found)
-    # distinct (a-triple, b-triple) index tuples: their order is the triple order
-    found = found[np.lexsort(found[:, 5::-1].T)]
-    classes = {c: npn.orbit(c) for c in sorted(set(canon[found[:, 6]].tolist()))}
+    classes = {c: npn.orbit(c) for c in sorted(set(canon[rows[:, 6]].tolist()))}
     return [
         SearchHit(
             tuple(grid_a[i] for i in row[:3]),
@@ -340,7 +380,7 @@ def search(
             row[6],
             classes[int(canon[row[6]])],
         )
-        for row in found.tolist()
+        for row in rows.tolist()
     ]
 
 

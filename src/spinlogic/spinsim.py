@@ -14,8 +14,7 @@ matter for the logic experiments simulated here.
 Readout models the integral of the frequency-domain signal as the plain sum
 of per-peak transverse components.  The rotation and precession formulas
 are array-generic: :func:`run_steps` applies them to (points, peaks) arrays,
-the one element loop behind every simulation, and the per-element
-``apply_*`` functions to one peak at a time, as its stepwise reference.
+the one element loop behind every simulation.
 
 Systems and sequences are read from JSON documents (schema below) by
 :func:`document_from_dict`, the one reader, in a single walk that also
@@ -25,7 +24,7 @@ reports the placeholder slots of a template; nothing serializes them back.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
@@ -185,49 +184,6 @@ def _evolve(x, y, z, offset, tau, t1):
     c, s = np.cos(angle), np.sin(angle)
     recovered = 1.0 + (z - 1.0) * _exp(-tau / t1)
     return x * c - y * s, x * s + y * c, np.where(np.isfinite(t1), recovered, z)
-
-
-def apply_hard_pulse(s: SpinSystem, beta: float, phi: float) -> SpinSystem:
-    """Rotate every peak; pulses are instantaneous (no precession during)."""
-    return SpinSystem(
-        tuple(replace(p, m=Magnetization(*_rotate(*astuple(p.m), beta, phi))) for p in s.peaks)
-    )
-
-
-def apply_selective_pulse(
-    s: SpinSystem, beta: float, phi: float, target_offset: float, tolerance: float
-) -> SpinSystem:
-    """Rotate only peaks within the frequency window; a window matching no
-    peak is legal and leaves the system unchanged."""
-    rotated = apply_hard_pulse(s, beta, phi).peaks
-    window = [abs(p.offset - target_offset) < tolerance for p in s.peaks]
-    return SpinSystem(tuple(r if w else p for p, r, w in zip(s.peaks, rotated, window)))
-
-
-def apply_delay(s: SpinSystem, tau: float) -> SpinSystem:
-    """Precession about z plus T1 recovery of mz toward equilibrium."""
-    tau = Delay(tau).tau
-    return SpinSystem(
-        tuple(
-            replace(p, m=Magnetization(*_evolve(*astuple(p.m), p.offset, tau, p.t1 or math.inf)))
-            for p in s.peaks
-        )
-    )
-
-
-def apply_element(s: SpinSystem, e: SequenceElement) -> SpinSystem:
-    """One element applied peak by peak, the reference for :func:`run_steps`."""
-    if isinstance(e, HardPulse):
-        return apply_hard_pulse(s, e.beta, e.phi)
-    if isinstance(e, SelectivePulse):
-        return apply_selective_pulse(s, e.beta, e.phi, e.target_offset, e.tolerance)
-    if isinstance(e, Delay):
-        return apply_delay(s, e.tau)
-    raise TypeError(f"unknown sequence element {e!r}")
-
-
-def at_equilibrium(s: SpinSystem) -> SpinSystem:
-    return SpinSystem(tuple(replace(p, m=EQUILIBRIUM) for p in s.peaks))
 
 
 def run_steps(s: SpinSystem, steps, points: int = 1):

@@ -9,12 +9,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlogic
-from spinlogic import npn
+from spinlogic import cli, npn
 from spinlogic.cli import main
 from spinlogic.search import evaluate_table, selective_delay_inputs, two_pulse_template
 from spinlogic.ternary import encode, multiplication
@@ -556,3 +557,94 @@ def test_classify_and_hit_search_do_not_import_numpy_ma():
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# --- hit reports -----------------------------------------------------------------
+
+CLASS_SIZES = {c.canonical: c.size for c in npn.classify_all(3)}
+
+
+def hit_report_from_objects(rows, grid_a, grid_b, fmt):
+    """The hit report as built from one object per hit: json.dumps of a list
+    of dicts, or one joined CSV line per hit."""
+    hits = []
+    for r in rows.tolist():
+        canonical = npn.canonical_index(r[6])
+        hits.append(
+            {
+                "a_values": [grid_a[i] for i in r[:3]],
+                "b_values": [grid_b[j] for j in r[3:6]],
+                "table_index": r[6],
+                "canonical": canonical,
+                "class_size": CLASS_SIZES[canonical],
+            }
+        )
+    if fmt == "json":
+        return json.dumps(hits, sort_keys=True, indent=2) + "\n"
+    lines = ["a1,a2,a3,b1,b2,b3,table_index,canonical,class_size"]
+    for h in hits:
+        values = [format(v, ".12g") for v in (*h["a_values"], *h["b_values"])]
+        lines.append(",".join(values + [str(h["table_index"]), str(h["canonical"]), str(h["class_size"])]))
+    return "\n".join(lines) + "\n"
+
+
+GRID_VALUES = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e300]),
+    min_size=1,
+    max_size=8,
+)
+EDGE_VALUES = [-0.0, 5e-324, 1e300, 0.1, -2.5]
+
+
+@settings(max_examples=60, deadline=None)
+@example(EDGE_VALUES, EDGE_VALUES, 0, 0, "json")
+@example(EDGE_VALUES, EDGE_VALUES, 0, 0, "csv")
+@example(EDGE_VALUES, EDGE_VALUES, 700, 1, "json")  # more rows than one write holds
+@example(EDGE_VALUES, EDGE_VALUES, 700, 2, "csv")
+@given(
+    GRID_VALUES,
+    GRID_VALUES,
+    st.sampled_from([0, 1, 255, 256, 257, 513]) | st.integers(0, 20),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["json", "csv"]),
+)
+def test_streamed_hit_report_equals_the_report_of_hit_objects(grid_a, grid_b, count, seed, fmt):
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack(
+        (
+            rng.integers(0, len(grid_a), (count, 3)),
+            rng.integers(0, len(grid_b), (count, 3)),
+            rng.integers(0, 3**9, count),
+        )
+    ).astype(np.int32)
+    pieces = list(cli._hit_report(rows, grid_a, grid_b, fmt))
+    assert "".join(pieces) == hit_report_from_objects(rows, grid_a, grid_b, fmt)
+    # a few hundred rows per piece, besides the head and the tail
+    assert len(pieces) <= 3 + count // 200
+
+
+LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.fork()\n"
+    "if pid == 0:\n"
+    "    os.execv(sys.executable, [sys.executable, '-m', 'spinlogic.cli', *sys.argv[1:]])\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_hit_search_past_the_cap_exits_2_in_bounded_memory():
+    # every one of the C(30,3)**2 = 16,483,600 pairs of a constant grid is a
+    # hit; kept as hit objects they would take gigabytes.  The CLI runs in a
+    # child of a small launcher, so that wait4 reports the child's own peak.
+    argv = ["search", "--sequence", "single-pulse", "--grid-a", "lin:0:0:30",
+            "--grid-b", "lin:0:6:30", "--target", "9841"]
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCHER, *argv], env=env, capture_output=True, text=True
+    )
+    code, max_rss_kb = map(int, result.stdout.split())
+    assert code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error:") and "16483600" in result.stderr
+    assert max_rss_kb < 200 * 1024

@@ -177,6 +177,12 @@ def test_canonical_map_equals_minimum_over_group(radix):
     assert np.array_equal(npn.canonical_map(radix), expected)
 
 
+def test_canonical_map_holds_indices_in_the_smallest_unsigned_dtype():
+    # 19,683 ternary indices fit in 16 bits, 16 binary ones in 8
+    assert npn.canonical_map(3).dtype == np.uint16
+    assert npn.canonical_map(2).dtype == np.uint8
+
+
 @given(st.integers(0, NUM_FUNCTIONS - 1), st.sampled_from(npn.all_transforms(3)))
 def test_canonical_map_is_constant_on_orbits(index, t):
     image = npn.index_of_digits(npn.apply_to_digits(t, npn.digits_of_index(index)))

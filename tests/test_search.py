@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlogic import npn, pc, search, spinsim
+from spinlogic import cli, npn, pc, search, spinsim
 from spinlogic.search import (
     ExperimentTable,
     Quantizer,
@@ -22,6 +22,7 @@ from spinlogic.search import (
     two_pulse_template,
 )
 from spinlogic.ternary import encode, multiplication
+from spin_reference import apply_element, at_equilibrium
 
 TRIPLE = (math.pi / 2, math.pi, 3 * math.pi / 2)
 
@@ -459,9 +460,9 @@ def stepwise_readout(document, a, b):
         for e in document["sequence"]
     ]
     system, seq, _ = spinsim.document_from_dict({"peaks": document["peaks"], "sequence": sequence})
-    state = spinsim.at_equilibrium(system)
+    state = at_equilibrium(system)
     for element in seq.elements:
-        state = spinsim.apply_element(state, element)
+        state = apply_element(state, element)
     return spinsim.read_mx(state)
 
 
@@ -514,3 +515,50 @@ def test_bound_values_are_checked_by_their_element():
         tpl.readouts([0.5], [0.5, 0.0])
     with pytest.raises(ValueError, match="tau must be finite"):
         tpl.readouts([math.nan], [0.5])
+
+
+# --- hits as index rows -----------------------------------------------------------
+
+
+def test_hit_rows_are_the_hits_as_grid_indices():
+    grid = sorted({0.3, math.pi / 2, 2.0, math.pi, 4.0, 3 * math.pi / 2, 5.5, 6.0})
+    targets = {encode(multiplication()), 0}
+    rows = search.hit_rows(single_pulse_template(), grid, grid, targets=targets)
+    hits = search.search(single_pulse_template(), grid, grid, targets=targets)
+    assert rows.dtype == np.int32 and rows.shape == (len(hits), 7)
+    assert [
+        (tuple(grid[i] for i in r[:3]), tuple(grid[j] for j in r[3:6]), r[6]) for r in rows.tolist()
+    ] == [(h.a_values, h.b_values, h.index) for h in hits]
+    assert search.hit_rows(single_pulse_template(), grid, grid, targets=set()).shape == (0, 7)
+
+
+def test_hit_search_past_the_cap_names_the_exact_total(monkeypatch):
+    grid = [2 * math.pi * k / 9 for k in range(10)]
+    target = encode(multiplication())
+    total = achievable_classes(single_pulse_template(), grid, grid)[npn.canonical_index(target)]
+    assert total == 752
+    # small steps, so that the kept rows pass the cap in the middle of the walk
+    monkeypatch.setattr(search, "STEP_CELLS", 64)
+    monkeypatch.setattr(search, "MAX_GRID_POINTS", total)
+    assert len(search.hit_rows(single_pulse_template(), grid, grid, targets={target})) == total
+    monkeypatch.setattr(search, "MAX_GRID_POINTS", total - 1)
+    with pytest.raises(ValueError, match=f"^search has {total} hits, more than the limit of {total - 1}$"):
+        search.hit_rows(single_pulse_template(), grid, grid, targets={target})
+
+
+def test_hit_search_working_memory_on_the_benchmark_grid(tmp_path):
+    # the 12x12 single-pulse grid of the benchmark's hit search, seed 1: 1,472 hits;
+    # built as hit objects with orbits and written by json.dumps(indent=2), the
+    # command's traced peak was 3.7 MB
+    spec_a, spec_b = "lin:3.7149:9.998085307179586:12", "lin:1.5757:7.8588853071795866:12"
+    argv = ["search", "--sequence", "single-pulse", "--grid-a", spec_a, "--grid-b", spec_b,
+            "--target", "multiplication", "--format", "json", "--out", str(tmp_path / "hits.json")]
+    npn.canonical_map(3)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "hits.json").read_text())) == 1472
+    assert peak < 1.0e6

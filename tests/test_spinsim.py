@@ -13,15 +13,19 @@ from spinlogic.spinsim import (
     PulseSequence,
     SelectivePulse,
     SpinSystem,
-    apply_delay,
-    apply_hard_pulse,
-    apply_selective_pulse,
     document_from_dict,
     read_complex,
     read_mx,
     run_sequence,
 )
 from spinlogic.search import two_pulse_template
+from spin_reference import (
+    apply_delay,
+    apply_element,
+    apply_hard_pulse,
+    apply_selective_pulse,
+    at_equilibrium,
+)
 
 
 def rotation_matrix(beta, phi):
@@ -224,9 +228,9 @@ def test_sequence_composition_matches_stepwise():
                 elements.append(SelectivePulse(rng.uniform(0, 7), rng.uniform(0, 7), 3.0, 1.0))
             else:
                 elements.append(Delay(rng.uniform(0, 2)))
-        state = spinsim.at_equilibrium(s)
+        state = at_equilibrium(s)
         for e in elements:
-            state = spinsim.apply_element(state, e)
+            state = apply_element(state, e)
         assert run_sequence(s, PulseSequence(tuple(elements))) == state
 
 
