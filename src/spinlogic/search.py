@@ -12,7 +12,6 @@ all six, so the search enumerates ascending triples from each grid.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -30,7 +29,9 @@ RAW_SLACK = 1e-9
 # class count, which keep each of its 27x27 slice products within this many
 # multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
 # whose a-triple blocks also hold at most this many pairs of uint16 function
-# indices.  A few MB.
+# indices.  A readout block peaks at about 20 MB of float64 temporaries, 73 to
+# 81 bytes per point-peak on the built-in templates (tracemalloc); a class-count
+# or hit-search step at a few MB.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -109,25 +110,33 @@ class SequenceTemplate:
                 element = self.sequence.elements[k]
                 yield k, key, [getattr(replace(element, **{key: v}), key) for v in grid]
 
-    def readouts(self, grid_a, grid_b) -> np.ndarray:
-        """Summed x readout at every grid point, shape (len(grid_a),
-        len(grid_b)).  Each ``run_steps`` call takes a block of $A rows of
-        at most STEP_CELLS point-peaks (at least one row), with the $A values
-        repeated and the $B values tiled over the block."""
+    def _row_blocks(self, grid_a, grid_b):
+        """The one walk over the grid: (rows, values) for each block of $A
+        rows in order, ``rows`` a slice of grid_a and ``values`` the block's
+        (rows, len(grid_b)) summed x readouts.  A block is at most
+        STEP_CELLS point-peaks (at least one row).  Every
+        grid value is checked before the first block; each $B slot is bound
+        once, as an (m, 1) column, and each $A slot once per block, as a
+        (rows, 1, 1) slice, so both broadcast over the block."""
         n, m = len(grid_a), len(grid_b)
         rows = max(1, STEP_CELLS // (max(m, 1) * len(self.system.peaks)))
-        a_slots = [(k, key, np.repeat(v, m)) for k, key, v in self._checked("$A", grid_a)]
-        b_slots = [(k, key, np.tile(v, min(rows, n))) for k, key, v in self._checked("$B", grid_b)]
+        a_slots = [(k, key, np.array(v)[:, None, None]) for k, key, v in self._checked("$A", grid_a)]
         steps = [(type(e), dict(vars(e))) for e in self.sequence.elements]
-        out = np.empty((n, m))
+        for k, key, v in self._checked("$B", grid_b):
+            steps[k][1][key] = np.array(v)[:, None]
         for start in range(0, n, rows):
-            block = out[start : start + rows]
+            block = slice(start, min(start + rows, n))
             for k, key, values in a_slots:
-                steps[k][1][key] = values[start * m : start * m + block.size, None]
-            for k, key, values in b_slots:
-                steps[k][1][key] = values[: block.size, None]
-            x, _, _ = run_steps(self.system, steps, block.size)
-            block[:] = sum(x.T, 0.0).reshape(block.shape)  # peak by peak, like read_mx
+                steps[k][1][key] = values[block]
+            x, _, _ = run_steps(self.system, steps, (block.stop - start, m))
+            yield block, sum(np.moveaxis(x, -1, 0), 0.0)  # peak by peak, like read_mx
+
+    def readouts(self, grid_a, grid_b) -> np.ndarray:
+        """Summed x readout at every grid point, shape (len(grid_a),
+        len(grid_b)), filled block by block from the walk over $A rows."""
+        out = np.empty((len(grid_a), len(grid_b)))
+        for rows, values in self._row_blocks(grid_a, grid_b):
+            out[rows] = values
         return out
 
 
@@ -227,11 +236,15 @@ class SearchHit:
 
 
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
-    """Digit (value + 1) readout for every grid point; triples index into this."""
+    """Digit (value + 1) readout for every grid point; triples index into this.
+    Each block of readouts is quantized as it is simulated, so the float
+    grid is never held whole."""
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
-    readouts = template.readouts(grid_a, grid_b)
-    return (quantize(readouts, q, template.readout_bound) + 1).astype(np.uint8)
+    digits = np.empty((len(grid_a), len(grid_b)), dtype=np.uint8)
+    for rows, values in template._row_blocks(grid_a, grid_b):
+        digits[rows] = quantize(values, q, template.readout_bound) + 1
+    return digits
 
 
 _CODES = 27  # row codes: a table row of three digits read in base 3
@@ -239,10 +252,32 @@ _CODES = 27  # row codes: a table row of three digits read in base 3
 
 def _triples(n: int, size: int):
     """Ascending index triples of range(n) in lexicographic order, as
-    (k, 3) arrays of at most ``size`` rows."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
-    while (chunk := np.fromiter(itertools.islice(flat, 3 * size), dtype=np.intp)).size:
-        yield chunk.reshape(-1, 3)
+    (k, 3) arrays of at most ``size`` rows.
+
+    Each chunk is made from the ranks of its triples: the triples starting
+    at i begin at rank C(n,3) - C(n-i,3), and the pairs of range(n) starting
+    at j at rank C(n,2) - C(n-j,2), so ``searchsorted`` over those first
+    ranks finds i, then j among the pairs after i, and the rest is k.  The
+    ranks stay below C(n,3), exact in int64 for n up to 10**6.  A chunk is
+    built in place, so it holds its (k, 3) triples and two (k,) arrays."""
+    total = math.comb(n, 3)
+    rest = n - np.arange(n, dtype=np.int64)
+    first3 = total - rest * (rest - 1) // 2 * (rest - 2) // 3
+    first2 = math.comb(n, 2) - rest * (rest - 1) // 2
+    for low in range(0, total, size):
+        rank = np.arange(low, min(low + size, total), dtype=np.int64)
+        chunk = np.empty((len(rank), 3), dtype=np.intp)
+        i, j, k = chunk.T
+        i[:] = first3.searchsorted(rank, "right")
+        i -= 1
+        rank -= first3[i]  # rank among the pairs after i, and so
+        rank += first2[1:][i]  # among the pairs of range(n)
+        j[:] = first2.searchsorted(rank, "right")
+        j -= 1
+        rank -= first2[j]
+        rank += j + 1
+        k[:] = rank
+        yield chunk
 
 
 def _row_codes(digits: np.ndarray, b: np.ndarray) -> np.ndarray:

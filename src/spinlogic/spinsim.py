@@ -13,8 +13,8 @@ matter for the logic experiments simulated here.
 
 Readout models the integral of the frequency-domain signal as the plain sum
 of per-peak transverse components.  The rotation and precession formulas
-are array-generic: :func:`run_steps` applies them to (points, peaks) arrays,
-the one element loop behind every simulation.
+are array-generic: :func:`run_steps` applies them to (rows, columns, peaks)
+arrays, the one element loop behind every simulation.
 
 Systems and sequences are read from JSON documents (schema below) by
 :func:`document_from_dict`, the one reader, in a single walk that also
@@ -186,15 +186,19 @@ def _evolve(x, y, z, offset, tau, t1):
     return x * c - y * s, x * s + y * c, np.where(np.isfinite(t1), recovered, z)
 
 
-def run_steps(s: SpinSystem, steps, points: int = 1):
-    """The element loop behind every simulation: ``points`` copies of the
-    system start from equilibrium and go through ``steps``, pairs of an
-    element class and a mapping of its field names to values.  A value is a
-    float shared by every point or a (points, 1) array with one per point.
-    Returns the x, y and z components as (points, peaks) arrays."""
+def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
+    """The element loop behind every simulation: one copy of the system per
+    cell of a grid of ``shape``, such as (rows, columns), starts from
+    equilibrium and goes through ``steps``, pairs of an element class and a
+    mapping of its field names to values.  A value is a float shared by every
+    cell or an array that broadcasts against ``shape + (peaks,)``: on a
+    (rows, columns) grid, an (m, 1) column varies along the columns and a
+    (rows, 1, 1) slice along the rows.  Each sine, cosine and exponential
+    runs once per value it is given, not once per cell.  Returns the x, y
+    and z components as ``shape + (peaks,)`` arrays."""
     offset = np.array([p.offset for p in s.peaks])
     t1 = np.array([p.t1 or math.inf for p in s.peaks])  # t1 is positive when set
-    shape = (points, len(offset))
+    shape = (*shape, len(offset))
     state = np.zeros(shape), np.zeros(shape), np.ones(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for kind, v in steps:
@@ -219,7 +223,7 @@ def run_sequence(s: SpinSystem, seq: PulseSequence) -> SpinSystem:
     peak to (0, 0, 1)."""
     x, y, z = run_steps(s, [(type(e), vars(e)) for e in seq.elements])
     return SpinSystem(
-        tuple(replace(p, m=Magnetization(*m)) for p, m in zip(s.peaks, zip(x[0], y[0], z[0])))
+        tuple(replace(p, m=Magnetization(*m)) for p, m in zip(s.peaks, zip(x, y, z)))
     )
 
 

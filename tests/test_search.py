@@ -278,17 +278,20 @@ def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
 
 @pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
 def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
+    # $A in a selective pulse's target_offset and $B in a T1 delay's tau, so
+    # both axes broadcast through np.where and _exp
     tpl = SequenceTemplate(
         {
             "peaks": [
                 {"label": "A", "offset_rad_s": 2.0, "t1_s": 1.0},
                 {"label": "B", "offset_rad_s": 5.0},
+                {"label": "C", "offset_rad_s": 3.0, "t1_s": 0.5},
             ],
             "sequence": [
                 {"type": "hard_pulse", "beta": "$A", "phi": 0.3},
-                {"type": "delay", "tau": 0.25},
+                {"type": "delay", "tau": "$B"},
                 {"type": "selective_pulse", "beta": math.pi / 2, "phi": "$B",
-                 "target_offset": 5.0, "tolerance": 1.0},
+                 "target_offset": "$A", "tolerance": 1.0},
             ],
         }
     )
@@ -297,11 +300,61 @@ def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     grid_b = [rng.uniform(0, 2 * math.pi) for _ in range(5)]
     digits = np.random.default_rng(9).integers(0, 3, size=(13, 9)).astype(np.uint8)
     expected = tpl.readouts(grid_a, grid_b)
+    expected_digits = (quantize(expected, Quantizer(), tpl.readout_bound) + 1).astype(np.uint8)
+    assert set(expected_digits.ravel().tolist()) == {0, 1, 2}
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
-    # at 64 cells a block holds 6 of the 7 rows of 5 points times 2 peaks
+    # at 64 cells a block holds 4 of the 7 rows of 5 points times 3 peaks
     assert np.array_equal(tpl.readouts(grid_a, grid_b), expected)
+    assert np.array_equal(search._quantized_grid(tpl, grid_a, grid_b, Quantizer()), expected_digits)
     values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
     assert search._class_counts(digits) == dict(zip(values.tolist(), counts.tolist()))
+
+
+@pytest.mark.parametrize("step_cells", [5, search.STEP_CELLS])
+def test_block_quantization_reports_the_first_readout_out_of_bound(monkeypatch, step_cells):
+    tpl = single_pulse_template()
+    tpl.readout_bound = 0.5
+    grid_a, grid_b = [0.0, 0.1, 2.0, 1.5], [0.3, 1.0, 2.5, 4.0, 6.0]
+    readouts = tpl.readouts(grid_a, grid_b)
+    with pytest.raises(ValueError) as whole:
+        quantize(readouts, Quantizer(), tpl.readout_bound)
+    # at 5 cells a block is one row, and the first two rows are within the bound
+    assert np.abs(readouts[:2]).max() < tpl.readout_bound
+    monkeypatch.setattr(search, "STEP_CELLS", step_cells)
+    with pytest.raises(ValueError) as blocks:
+        search._quantized_grid(tpl, grid_a, grid_b, Quantizer())
+    assert str(blocks.value) == str(whole.value)
+
+
+def test_quantized_grid_never_holds_the_float_grid():
+    grid_a = [2 * math.pi * k / 9999 for k in range(10000)]
+    grid_b = [2 * math.pi * k / 99 for k in range(100)]
+    tracemalloc.start()
+    try:
+        digits = search._quantized_grid(two_pulse_template(), grid_a, grid_b, Quantizer())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digits.shape == (10000, 100)
+    # the float grid alone is 8 MB, and quantizing it whole took a 47.5 MB peak
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 9, 23])
+@pytest.mark.parametrize("size", [1, 2, 7, 10**6])
+def test_triples_are_the_combinations_in_chunks(n, size):
+    expected = list(itertools.combinations(range(n), 3))
+    chunks = list(search._triples(n, size))
+    assert [len(c) for c in chunks] == [min(size, len(expected) - s) for s in range(0, len(expected), size)]
+    assert all(c.dtype == np.intp and c.shape[1:] == (3,) for c in chunks)
+    assert [tuple(t) for c in chunks for t in c.tolist()] == expected
+
+
+def test_exactness_guard_at_its_boundary():
+    # one step of one b-triple: n**3 must stay below 2**53
+    assert search._class_counts(np.zeros((208063, 3), np.uint8)) == {0: math.comb(208063, 3)}
+    with pytest.raises(ValueError, match="too large to count exactly"):
+        search._class_counts(np.zeros((208064, 3), np.uint8))
 
 
 def test_class_count_working_memory_does_not_grow_with_the_step():
