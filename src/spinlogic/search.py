@@ -25,13 +25,15 @@ from .ternary import TernaryFunction
 RAW_SLACK = 1e-9
 
 # Cells per step of every grid walk, which sizes its step from the grid shape:
-# point-peaks of a readout block; per b-triple, a-values plus 27*27 cells of the
-# class count, which keep each of its 27x27 slice products within this many
+# point-peaks of a readout tile, whole rows or, when one row alone is over
+# budget, part of a row; per b-triple, a-values plus 27*27 cells of the class
+# count, which keep each of its 27x27 slice products within this many
 # multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
 # whose a-triple blocks also hold at most this many pairs of uint16 function
-# indices.  A readout block peaks at about 20 MB of float64 temporaries, 73 to
-# 81 bytes per point-peak on the built-in templates (tracemalloc); a class-count
-# or hit-search step at a few MB.
+# indices.  A readout tile peaks at about 20 MB of float64 temporaries, 72 to
+# 81 bytes per point-peak on the built-in templates and on a 300-peak T1
+# template (tracemalloc), whatever the number of peaks or columns; a
+# class-count or hit-search step at a few MB.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -110,33 +112,39 @@ class SequenceTemplate:
                 element = self.sequence.elements[k]
                 yield k, key, [getattr(replace(element, **{key: v}), key) for v in grid]
 
-    def _row_blocks(self, grid_a, grid_b):
-        """The one walk over the grid: (rows, values) for each block of $A
-        rows in order, ``rows`` a slice of grid_a and ``values`` the block's
-        (rows, len(grid_b)) summed x readouts.  A block is at most
-        STEP_CELLS point-peaks (at least one row).  Every
-        grid value is checked before the first block; each $B slot is bound
-        once, as an (m, 1) column, and each $A slot once per block, as a
-        (rows, 1, 1) slice, so both broadcast over the block."""
-        n, m = len(grid_a), len(grid_b)
-        rows = max(1, STEP_CELLS // (max(m, 1) * len(self.system.peaks)))
-        a_slots = [(k, key, np.array(v)[:, None, None]) for k, key, v in self._checked("$A", grid_a)]
+    def _tiles(self, grid_a, grid_b):
+        """The one walk over the grid: (tile, values) for each tile in
+        row-major order, ``tile`` a pair of slices of grid_a and grid_b and
+        ``values`` its summed x readouts.  A tile holds whole rows of at most
+        STEP_CELLS point-peaks; only a row that alone is over budget is split,
+        into tiles of STEP_CELLS // peaks points, and a tile always holds at
+        least one point.  Every grid value is checked before the first tile.
+        Each slot is held as a column along its axis, (n, 1, 1) for $A and
+        (m, 1) for $B, and sliced per tile, so both broadcast over the tile's
+        (rows, columns, peaks) arrays."""
+        n, m, peaks = len(grid_a), len(grid_b), len(self.system.peaks)
+        cols = max(1, min(m, STEP_CELLS // peaks))
+        rows = max(1, STEP_CELLS // (cols * peaks))  # one row when cols < m
+        slots = [
+            (k, key, np.reshape(v, column), axis)
+            for axis, name, grid, column in ((0, "$A", grid_a, (-1, 1, 1)), (1, "$B", grid_b, (-1, 1)))
+            for k, key, v in self._checked(name, grid)
+        ]
         steps = [(type(e), dict(vars(e))) for e in self.sequence.elements]
-        for k, key, v in self._checked("$B", grid_b):
-            steps[k][1][key] = np.array(v)[:, None]
-        for start in range(0, n, rows):
-            block = slice(start, min(start + rows, n))
-            for k, key, values in a_slots:
-                steps[k][1][key] = values[block]
-            x, _, _ = run_steps(self.system, steps, (block.stop - start, m))
-            yield block, sum(np.moveaxis(x, -1, 0), 0.0)  # peak by peak, like read_mx
+        for r in range(0, n, rows):
+            for c in range(0, m, cols):
+                tile = slice(r, min(r + rows, n)), slice(c, min(c + cols, m))
+                for k, key, column, axis in slots:
+                    steps[k][1][key] = column[tile[axis]]
+                x, _, _ = run_steps(self.system, steps, (tile[0].stop - r, tile[1].stop - c))
+                yield tile, sum(np.moveaxis(x, -1, 0), 0.0)  # peak by peak, like read_mx
 
     def readouts(self, grid_a, grid_b) -> np.ndarray:
         """Summed x readout at every grid point, shape (len(grid_a),
-        len(grid_b)), filled block by block from the walk over $A rows."""
+        len(grid_b)), filled tile by tile from the walk over the grid."""
         out = np.empty((len(grid_a), len(grid_b)))
-        for rows, values in self._row_blocks(grid_a, grid_b):
-            out[rows] = values
+        for tile, values in self._tiles(grid_a, grid_b):
+            out[tile] = values
         return out
 
 
@@ -237,13 +245,13 @@ class SearchHit:
 
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
     """Digit (value + 1) readout for every grid point; triples index into this.
-    Each block of readouts is quantized as it is simulated, so the float
+    Each tile of readouts is quantized as it is simulated, so the float
     grid is never held whole."""
     if len(grid_a) < 3 or len(grid_b) < 3:
         raise ValueError(f"grids need at least 3 points each, got {len(grid_a)} and {len(grid_b)}")
     digits = np.empty((len(grid_a), len(grid_b)), dtype=np.uint8)
-    for rows, values in template._row_blocks(grid_a, grid_b):
-        digits[rows] = quantize(values, q, template.readout_bound) + 1
+    for tile, values in template._tiles(grid_a, grid_b):
+        digits[tile] = quantize(values, q, template.readout_bound) + 1
     return digits
 
 

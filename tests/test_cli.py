@@ -623,6 +623,70 @@ def test_streamed_hit_report_equals_the_report_of_hit_objects(grid_a, grid_b, co
     assert len(pieces) <= 3 + count // 200
 
 
+def simulate_report_whole(grid_a, grid_b, values, fmt):
+    """The simulate report built in one string from ``values.tolist()``."""
+    rows = values.tolist()
+    if fmt == "json":
+        doc = {"grid_a": grid_a, "grid_b": grid_b, "values": rows}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "table":
+        return "\n".join(" ".join(f"{x:>12.6f}" for x in row) for row in rows) + "\n"
+    lines = ["a\\b," + ",".join(format(b, ".12g") for b in grid_b)]
+    for a, row in zip(grid_a, rows):
+        lines.append(format(a, ".12g") + "," + ",".join(format(x, ".12g") for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@example(EDGE_VALUES, EDGE_VALUES, 0, "json")
+@example([0.5], EDGE_VALUES, 1, "json")  # one row
+@example(EDGE_VALUES, [-0.0], 2, "csv")  # one column
+@example([5e-324], [1e300], 3, "table")
+@given(GRID_VALUES, GRID_VALUES, st.integers(0, 2**32 - 1), st.sampled_from(["json", "csv", "table"]))
+def test_streamed_simulate_report_equals_the_whole_string(grid_a, grid_b, seed, fmt):
+    rng = np.random.default_rng(seed)
+    shape = (len(grid_a), len(grid_b))
+    values = np.where(
+        rng.random(shape) < 0.3,
+        rng.choice(EDGE_VALUES, shape),
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
+    )
+    pieces = list(cli._simulate_report(grid_a, grid_b, values, fmt))
+    assert "".join(pieces) == simulate_report_whole(grid_a, grid_b, values, fmt)
+    # one piece per grid row, besides the grids and the closing brackets
+    assert len(pieces) == len(grid_a) + {"json": 2, "csv": 1, "table": 0}[fmt]
+
+
+T1_THREE_PEAKS = {
+    "peaks": [
+        {"label": "p1", "offset_rad_s": 2.0, "t1_s": 1.0},
+        {"label": "p2", "offset_rad_s": 5.0, "t1_s": 0.7},
+        {"label": "p3", "offset_rad_s": 8.0},
+    ],
+    "sequence": [
+        {"type": "hard_pulse", "beta": "$A", "phi": 0.3},
+        {"type": "delay", "tau": 0.25},
+        {"type": "selective_pulse", "beta": math.pi / 2, "phi": "$B",
+         "target_offset": 5.0, "tolerance": 1.0},
+        {"type": "delay", "tau": 0.15},
+    ],
+}
+
+
+def test_multi_peak_simulate_report_is_pinned(tmp_path, capsys):
+    # the peaks are summed in read_mx order, which sets the last bits of each
+    # readout: summed in another order, they change this hash
+    path = tmp_path / "three_peaks.json"
+    path.write_text(json.dumps(T1_THREE_PEAKS), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "simulate", "--sequence", str(path), "--grid-a", "lin:0:6.283185307179586:12",
+        "--grid-b", "lin:0.3:5.9:10", "--format", "json",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "e2a5d9d5a6f178efbddf4d18ff9e6451f94768aec92292077fa3362de6cd8df9"
+
+
 LAUNCHER = (
     "import os, sys\n"
     "pid = os.fork()\n"

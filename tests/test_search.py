@@ -303,7 +303,7 @@ def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     expected_digits = (quantize(expected, Quantizer(), tpl.readout_bound) + 1).astype(np.uint8)
     assert set(expected_digits.ravel().tolist()) == {0, 1, 2}
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
-    # at 64 cells a block holds 4 of the 7 rows of 5 points times 3 peaks
+    # at 64 cells a tile holds 4 of the 7 rows of 5 points times 3 peaks
     assert np.array_equal(tpl.readouts(grid_a, grid_b), expected)
     assert np.array_equal(search._quantized_grid(tpl, grid_a, grid_b, Quantizer()), expected_digits)
     values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
@@ -318,7 +318,7 @@ def test_block_quantization_reports_the_first_readout_out_of_bound(monkeypatch, 
     readouts = tpl.readouts(grid_a, grid_b)
     with pytest.raises(ValueError) as whole:
         quantize(readouts, Quantizer(), tpl.readout_bound)
-    # at 5 cells a block is one row, and the first two rows are within the bound
+    # at 5 cells a tile is one row, and the first two rows are within the bound
     assert np.abs(readouts[:2]).max() < tpl.readout_bound
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
     with pytest.raises(ValueError) as blocks:
@@ -338,6 +338,69 @@ def test_quantized_grid_never_holds_the_float_grid():
     assert digits.shape == (10000, 100)
     # the float grid alone is 8 MB, and quantizing it whole took a 47.5 MB peak
     assert peak < 32e6
+
+
+def t1_sequence_document(peaks: int) -> dict:
+    """The benchmark's T1 sequence on ``peaks`` peaks spread over 1.5..8.5
+    rad/s, every other one with T1."""
+    return {
+        "peaks": [
+            {"label": f"p{k}", "offset_rad_s": 1.5 + 7.0 * k / peaks}
+            | ({"t1_s": 0.5 + k / peaks} if k % 2 == 0 else {})
+            for k in range(peaks)
+        ],
+        "sequence": [
+            {"type": "hard_pulse", "beta": "$A", "phi": 0.3},
+            {"type": "delay", "tau": 0.25},
+            {"type": "selective_pulse", "beta": math.pi / 2, "phi": "$B",
+             "target_offset": 5.0, "tolerance": 1.0},
+            {"type": "delay", "tau": 0.15},
+        ],
+    }
+
+
+@pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
+def test_tiles_stay_within_the_budget_and_cover_the_grid_in_row_major_order(monkeypatch, step_cells):
+    tpl = SequenceTemplate(t1_sequence_document(3))
+    rng = random.Random(13)
+    grid_a = [rng.uniform(0, 2 * math.pi) for _ in range(7)]
+    grid_b = [rng.uniform(0, 2 * math.pi) for _ in range(25)]
+    grids = [(grid_a, grid_b), ([], grid_b), (grid_a, [])]
+    expected = [tpl.readouts(a, b) for a, b in grids]
+    calls = []
+
+    def recording_run_steps(system, steps, shape):
+        rows, cols = shape
+        # a $A value is a (rows, 1, 1) slice and a $B value a (cols, 1) one
+        assert {np.shape(v) for _, fields in steps for v in fields.values()} <= {(), (rows, 1, 1), (cols, 1)}
+        calls.append(shape)
+        return spinsim.run_steps(system, steps, shape)
+
+    monkeypatch.setattr(search, "STEP_CELLS", step_cells)
+    monkeypatch.setattr(search, "run_steps", recording_run_steps)
+    # at 64 cells a row of 25 points times 3 peaks is split into 21 and 4 points
+    tiles = [tile for tile, _ in tpl._tiles(grid_a, grid_b)]
+    assert all(rows * cols * 3 <= max(step_cells, 3) for rows, cols in calls)
+    index = np.arange(7 * 25).reshape(7, 25)
+    assert calls == [index[tile].shape for tile in tiles]
+    assert np.concatenate([index[tile].ravel() for tile in tiles]).tolist() == list(range(7 * 25))
+    for (a, b), values in zip(grids, expected):
+        got = tpl.readouts(a, b)
+        assert got.shape == (len(a), len(b)) and np.array_equal(got, values)
+
+
+def test_many_peak_readouts_split_long_rows():
+    tpl = SequenceTemplate(t1_sequence_document(300))
+    grid_b = [2 * math.pi * k / 2999 for k in range(3000)]
+    tracemalloc.start()
+    try:
+        values = tpl.readouts([0.1, 0.2, 0.3], grid_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (3, 3000)
+    # one row is 900,000 point-peaks; simulated whole, it took an 86.6 MB peak
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 9, 23])
