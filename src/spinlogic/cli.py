@@ -2,6 +2,9 @@
 searches, and complex-logic demos, with deterministic text/CSV/JSON output.
 
 Exit codes: 0 success, 1 self-check failure, 2 usage or parse error.
+
+Each command imports only the layers it uses: ``classify`` never loads the
+spin simulator, the search layer or complex logic.
 """
 
 from __future__ import annotations
@@ -11,11 +14,15 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import complexlogic, npn, pc, search as search_mod
+from . import npn
 from .ternary import encode, multiplication
+
+if TYPE_CHECKING:
+    from . import search as search_mod
 
 
 def _fmt(x: float) -> str:
@@ -35,6 +42,8 @@ def _emit(pieces, out: str | None) -> None:
 def _parse_grid(spec: str) -> list[float]:
     """Comma-separated radians, or ``lin:<start>:<stop>:<n>`` for n evenly
     spaced samples including both endpoints."""
+    from . import search as search_mod
+
     spec = spec.strip()
     if not spec:
         raise ValueError("empty grid spec")
@@ -54,6 +63,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float], list[float]]:
+    from . import search as search_mod
+
     name = args.sequence
     if name == "single-pulse":
         template = search_mod.single_pulse_template()
@@ -76,28 +87,39 @@ def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float],
 
 
 def _classify_report(radix: int) -> dict:
+    """The classify report, built from two per-function label arrays: the
+    canonical map and the PC keys.  Class sizes are label counts, and a PC
+    class spans the NPN classes whose canonicals carry its key."""
+    from . import pc
+
     expected_npn, expected_pc = {2: (4, 4), 3: (84, 33)}[radix]
     values = {2: (0, 1), 3: (-1, 0, 1)}[radix]
     functions = radix ** (radix * radix)
-    classes = npn.classify_all(radix)
-    pc_classes = [
-        {
-            "signature": [list(c.signature.first), list(c.signature.second)],
-            "member_count": c.size,
-            "npn_canonicals": list(c.npn_canonicals),
-            "single_npn": c.single_npn,
-        }
-        for c in pc.pc_classify_all(radix)
-    ]
-    # every NPN class must land in exactly one PC class
-    pc_consistent = sum(len(c["npn_canonicals"]) for c in pc_classes) == len(classes)
+    canon, key = npn.canonical_map(radix), pc.pc_keys(radix)
+    sizes, pc_sizes = np.bincount(canon), np.bincount(key)
+    canonicals, keys = np.flatnonzero(sizes), np.flatnonzero(pc_sizes)
+    canonical_keys = key[canonicals]
+    pc_classes = []
+    for k, size in zip(keys.tolist(), pc_sizes[keys].tolist()):
+        signature = pc.signature_of_key(k, radix)
+        spanned = canonicals[canonical_keys == k].tolist()
+        pc_classes.append(
+            {
+                "signature": [list(signature.first), list(signature.second)],
+                "member_count": size,
+                "npn_canonicals": spanned,
+                "single_npn": len(spanned) == 1,
+            }
+        )
+    # every NPN class lies in exactly one PC class: each function shares its canonical's key
+    pc_consistent = bool(np.array_equal(key, key[canon]))
     burnside = npn.burnside_count(radix)
-    total = sum(c.size for c in classes)
+    total = int(sizes.sum())
     checks_pass = (
-        len(classes) == expected_npn
+        len(canonicals) == expected_npn
         and len(pc_classes) == expected_pc
         and total == functions
-        and burnside == len(classes)
+        and burnside == len(canonicals)
         and pc_consistent
     )
 
@@ -108,14 +130,14 @@ def _classify_report(radix: int) -> dict:
     return {
         "radix": radix,
         "function_count": functions,
-        "npn_class_count": len(classes),
+        "npn_class_count": len(canonicals),
         "burnside_count": burnside,
         "pc_class_count": len(pc_classes),
         "pc_consistent": pc_consistent,
         "self_check": "pass" if checks_pass else "fail",
         "npn_classes": [
-            {"canonical": c.canonical, "size": c.size, "table": table(c.canonical)}
-            for c in classes
+            {"canonical": c, "size": size, "table": table(c)}
+            for c, size in zip(canonicals.tolist(), sizes[canonicals].tolist())
         ],
         "pc_classes": pc_classes,
     }
@@ -273,6 +295,8 @@ def _hit_report(rows, grid_a: list[float], grid_b: list[float], fmt: str):
 
 
 def cmd_search(args) -> int:
+    from . import search as search_mod
+
     template, grid_a, grid_b = _template_and_grids(args)
     quantizer = search_mod.Quantizer(epsilon=args.epsilon)
 
@@ -314,6 +338,8 @@ def _phase_distance(t1: float, t2: float) -> float:
 
 
 def cmd_complex(args) -> int:
+    from . import complexlogic
+
     params = complexlogic.EncodingParams(t1=args.t1, omega_off=args.omega_off, alpha=args.alpha)
 
     if args.action == "truth":

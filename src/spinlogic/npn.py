@@ -200,7 +200,7 @@ def _all_digit_tables(radix: int = 3) -> np.ndarray:
     cells = radix * radix
     count = radix**cells
     out = np.empty((count, cells), dtype=np.uint8)
-    rem = np.arange(count, dtype=np.int64)
+    rem = np.arange(count, dtype=_index_dtype(radix))
     for c in range(cells):
         out[:, c] = rem % radix
         rem //= radix

@@ -70,6 +70,16 @@ def quantize(x, q: Quantizer = Quantizer(), bound: float = 1.0):
 PLACEHOLDERS = ("$A", "$B")
 
 
+def _accepts(element, key: str, values) -> bool:
+    """Whether ``element`` is valid with each of ``values`` in field ``key``."""
+    try:
+        for v in values:
+            replace(element, **{key: v})
+    except ValueError:
+        return False
+    return True
+
+
 class SequenceTemplate:
     """Pulse-sequence document with exactly two free parameters, $A and $B.
 
@@ -106,11 +116,21 @@ class SequenceTemplate:
 
     def _checked(self, name: str, grid):
         """(position, field, values) for each slot of placeholder ``name``,
-        every grid value checked once by the element's own validation."""
+        ``values`` the grid as a float array that passes the element's own
+        validation.  Every element field is valid on an interval (finite,
+        > 0 or >= 0), so once numpy finds all values finite, the minimum and
+        maximum stand for the rest; only when a check fails is the grid
+        walked value by value, so the error names its first invalid value."""
+        values = np.asarray(grid, dtype=float)
+        finite = bool(np.isfinite(values).all())
+        extremes = (values.min(), values.max()) if values.size else ()
         for k, key, placeholder in self.slots:
             if placeholder == name:
                 element = self.sequence.elements[k]
-                yield k, key, [getattr(replace(element, **{key: v}), key) for v in grid]
+                if not (finite and _accepts(element, key, extremes)):
+                    for v in grid:  # raises at the first invalid value
+                        replace(element, **{key: v})
+                yield k, key, values
 
     def _tiles(self, grid_a, grid_b):
         """The one walk over the grid: (tile, values) for each tile in

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlogic
-from spinlogic import cli, npn
+from spinlogic import cli, npn, pc
 from spinlogic.cli import main
 from spinlogic.search import evaluate_table, selective_delay_inputs, two_pulse_template
 from spinlogic.ternary import encode, multiplication
@@ -368,6 +368,96 @@ def test_classify_report_bytes_are_pinned(capsys, radix, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[radix, fmt]
 
 
+def classify_report_from_classes(radix):
+    """The classify report built from the class objects of
+    ``npn.classify_all`` and ``pc.pc_classify_all``, members and all."""
+    expected_npn, expected_pc = {2: (4, 4), 3: (84, 33)}[radix]
+    values = {2: (0, 1), 3: (-1, 0, 1)}[radix]
+    functions = radix ** (radix * radix)
+    classes = npn.classify_all(radix)
+    pc_classes = [
+        {
+            "signature": [list(c.signature.first), list(c.signature.second)],
+            "member_count": c.size,
+            "npn_canonicals": list(c.npn_canonicals),
+            "single_npn": c.single_npn,
+        }
+        for c in pc.pc_classify_all(radix)
+    ]
+    # every NPN class must land in exactly one PC class
+    pc_consistent = sum(len(c["npn_canonicals"]) for c in pc_classes) == len(classes)
+    burnside = npn.burnside_count(radix)
+    total = sum(c.size for c in classes)
+    checks_pass = (
+        len(classes) == expected_npn
+        and len(pc_classes) == expected_pc
+        and total == functions
+        and burnside == len(classes)
+        and pc_consistent
+    )
+
+    def table(canonical):
+        digits = npn.digits_of_index(canonical, radix)
+        return [[values[d] for d in digits[i : i + radix]] for i in range(0, radix * radix, radix)]
+
+    return {
+        "radix": radix,
+        "function_count": functions,
+        "npn_class_count": len(classes),
+        "burnside_count": burnside,
+        "pc_class_count": len(pc_classes),
+        "pc_consistent": pc_consistent,
+        "self_check": "pass" if checks_pass else "fail",
+        "npn_classes": [
+            {"canonical": c.canonical, "size": c.size, "table": table(c.canonical)}
+            for c in classes
+        ],
+        "pc_classes": pc_classes,
+    }
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_classify_report_equals_the_report_of_class_objects(radix):
+    report = cli._classify_report(radix)
+    assert report == classify_report_from_classes(radix)
+    assert report["self_check"] == "pass"
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_classify_fails_its_self_check_when_a_function_leaves_its_pc_class(monkeypatch, capsys, radix):
+    original = pc.pc_keys
+
+    def one_function_moved(r):
+        key = original(r).copy()
+        canon = npn.canonical_map(r)
+        moved = int(np.flatnonzero(canon != np.arange(len(canon)))[0])  # not a canonical
+        key[moved] = key[key != key[moved]][0]
+        return key
+
+    monkeypatch.setattr(pc, "pc_keys", one_function_moved)
+    report = cli._classify_report(radix)
+    assert report["pc_consistent"] is False and report["self_check"] == "fail"
+    code, out, _ = run(capsys, "classify", "--radix", str(radix), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["self_check"] == "fail"
+
+
+def test_cold_classify_report_traces_under_1_5_mb():
+    # the report needs two 19,683-entry uint16 label arrays, not the members
+    # of every class as Python ints (a 3.8 MB peak when built that way)
+    script = (
+        "import tracemalloc\n"
+        "from spinlogic import cli\n"
+        "tracemalloc.start()\n"
+        "cli._classify_report(3)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 1.5 * 2**20
+
+
 def test_classify_binary_json_lists_npn_canonicals(capsys):
     code, out, _ = run(capsys, "classify", "--radix", "2", "--format", "json")
     assert code == 0
@@ -543,20 +633,29 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
 
 
 def test_classify_and_hit_search_do_not_import_numpy_ma():
-    # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports it
-    script = (
-        "import contextlib, io, sys\n"
-        "from spinlogic.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['classify', '--radix', '3']) == 0\n"
-        "    assert main(['search', '--sequence', 'single-pulse', '--grid-a', 'lin:0:6.283185307179586:8',\n"
-        "                 '--grid-b', 'lin:0:6.283185307179586:8', '--target', 'multiplication']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
-    )
+    # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports
+    # it.  Each command also loads only the layers it uses.
+    grid = "lin:0:6.283185307179586:8"
+    commands = [
+        (["classify", "--radix", "3"], ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]),
+        (
+            ["search", "--sequence", "single-pulse", "--grid-a", grid, "--grid-b", grid,
+             "--target", "multiplication"],
+            ["spinlogic.complexlogic", "spinlogic.pc"],
+        ),
+    ]
     env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    for argv, unused in commands:
+        script = (
+            "import contextlib, io, sys\n"
+            "from spinlogic.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            f"print([m for m in {['numpy.ma', *unused]!r} if m in sys.modules])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n", argv
 
 
 # --- hit reports -----------------------------------------------------------------

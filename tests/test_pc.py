@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from spinlogic import npn, pc
@@ -100,3 +101,20 @@ def test_pc_classify_all_matches_scalar_signatures(radix):
         assert {frozenset(c.members) for c in classes} == {
             frozenset(c.members) for c in npn.classify_all(2)
         }
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_pc_keys_order_and_group_functions_as_scalar_signatures(radix):
+    """Each function's key decodes to the scalar signature of its table, and
+    the distinct keys, ascending, decode to strictly ascending signatures, so
+    two functions' keys compare exactly as their signatures do."""
+    key = pc.pc_keys(radix)
+    assert key.dtype == np.uint16 and key.shape == (radix ** (radix * radix),)
+    signatures = []
+    for i in range(len(key)):
+        d = npn.digits_of_index(i, radix)
+        signatures.append(pc.signature_of_grid([d[k : k + radix] for k in range(0, radix * radix, radix)]))
+    assert [pc.signature_of_key(k, radix) for k in key.tolist()] == signatures
+    ordered = [pc.signature_of_key(k, radix) for k in sorted(set(key.tolist()))]
+    as_tuples = [(s.first, s.second) for s in ordered]
+    assert all(x < y for x, y in zip(as_tuples, as_tuples[1:]))

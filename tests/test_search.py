@@ -3,10 +3,11 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinlogic import cli, npn, pc, search, spinsim
@@ -612,6 +613,48 @@ def test_template_rejects_invalid_constants_when_constructed(monkeypatch, elemen
     sequence = [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}, element]
     with pytest.raises(ValueError, match=message):
         SequenceTemplate({"peaks": [{"label": "s", "offset_rad_s": 0.0}], "sequence": sequence})
+
+
+def checked_per_value(template, name, grid):
+    """Every grid value through the element's own validation, one at a time
+    in grid order, for each slot of placeholder ``name``."""
+    return [
+        (k, key, [getattr(replace(template.sequence.elements[k], **{key: v}), key) for v in grid])
+        for k, key, placeholder in template.slots
+        if placeholder == name
+    ]
+
+
+def check_outcome(checked):
+    """The checked values as lists of floats, or the text of the error."""
+    try:
+        return [(k, key, np.asarray(values, dtype=float).tolist()) for k, key, values in checked()]
+    except ValueError as exc:
+        return str(exc)
+
+
+BOUND_DOCUMENT = {
+    "peaks": [{"label": "s", "offset_rad_s": 1.0}],
+    "sequence": [
+        {"type": "selective_pulse", "beta": "$A", "phi": 0.0, "target_offset": 1.0, "tolerance": "$B"},
+        {"type": "delay", "tau": "$A"},
+    ],
+}
+CHECK_VALUE = st.floats() | st.sampled_from([0.0, -0.0, -1.0, 5e-324, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@example(BOUND_DOCUMENT, [0.5, -0.25, -1.0], "$A")  # a negative tau
+@example(BOUND_DOCUMENT, [0.5, 0.0, -1.0], "$B")  # a zero tolerance
+@example(BOUND_DOCUMENT, [2.0, math.inf, math.nan], "$A")
+@example(BOUND_DOCUMENT, [0.5, math.nan, 0.0], "$B")
+@example(BOUND_DOCUMENT, [-0.0, 0.0, 3.0], "$A")
+@example(BOUND_DOCUMENT, [], "$B")
+@given(any_templates(), st.lists(CHECK_VALUE, max_size=6), st.sampled_from(["$A", "$B"]))
+def test_checked_grid_equals_the_per_value_check(document, grid, name):
+    template = SequenceTemplate(document)
+    expected = check_outcome(lambda: checked_per_value(template, name, grid))
+    assert check_outcome(lambda: template._checked(name, grid)) == expected
 
 
 def test_bound_values_are_checked_by_their_element():
