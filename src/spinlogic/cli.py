@@ -4,7 +4,8 @@ searches, and complex-logic demos, with deterministic text/CSV/JSON output.
 Exit codes: 0 success, 1 self-check failure, 2 usage or parse error.
 
 Each command imports only the layers it uses: ``classify`` never loads the
-spin simulator, the search layer or complex logic.
+spin simulator, the search layer, complex logic or numpy, which only the
+search and simulation layers need.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from . import npn
 from .ternary import encode, multiplication
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import search as search_mod
 
 
@@ -89,36 +91,43 @@ def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float],
 def _classify_report(radix: int) -> dict:
     """The classify report, built from two per-function label arrays: the
     canonical map and the PC keys.  Class sizes are label counts, and a PC
-    class spans the NPN classes whose canonicals carry its key."""
+    class spans the NPN classes whose canonicals carry its key.  The
+    self-check wants the expected class counts, agreeing with Burnside's;
+    every label its own label; every class size dividing the group order,
+    as an orbit's does; and every function sharing its canonical's key."""
     from . import pc
 
     expected_npn, expected_pc = {2: (4, 4), 3: (84, 33)}[radix]
     values = {2: (0, 1), 3: (-1, 0, 1)}[radix]
     functions = radix ** (radix * radix)
     canon, key = npn.canonical_map(radix), pc.pc_keys(radix)
-    sizes, pc_sizes = np.bincount(canon), np.bincount(key)
-    canonicals, keys = np.flatnonzero(sizes), np.flatnonzero(pc_sizes)
-    canonical_keys = key[canonicals]
+    sizes, pc_sizes = Counter(canon), Counter(key)
+    canonicals = sorted(sizes)
+    spanned: dict[int, list[int]] = {}
+    for c in canonicals:
+        spanned.setdefault(key[c], []).append(c)
     pc_classes = []
-    for k, size in zip(keys.tolist(), pc_sizes[keys].tolist()):
+    for k in sorted(pc_sizes):
         signature = pc.signature_of_key(k, radix)
-        spanned = canonicals[canonical_keys == k].tolist()
+        spans = spanned.get(k, [])
         pc_classes.append(
             {
                 "signature": [list(signature.first), list(signature.second)],
-                "member_count": size,
-                "npn_canonicals": spanned,
-                "single_npn": len(spanned) == 1,
+                "member_count": pc_sizes[k],
+                "npn_canonicals": spans,
+                "single_npn": len(spans) == 1,
             }
         )
     # every NPN class lies in exactly one PC class: each function shares its canonical's key
-    pc_consistent = bool(np.array_equal(key, key[canon]))
+    pc_consistent = all(key[f] == key[c] for f, c in enumerate(canon))
     burnside = npn.burnside_count(radix)
-    total = int(sizes.sum())
+    order = len(npn.all_transforms(radix))
     checks_pass = (
         len(canonicals) == expected_npn
         and len(pc_classes) == expected_pc
-        and total == functions
+        # each label names its own class, and each class is an orbit (orbit-stabilizer)
+        and all(canon[c] == c for c in canonicals)
+        and all(order % size == 0 for size in sizes.values())
         and burnside == len(canonicals)
         and pc_consistent
     )
@@ -136,8 +145,8 @@ def _classify_report(radix: int) -> dict:
         "pc_consistent": pc_consistent,
         "self_check": "pass" if checks_pass else "fail",
         "npn_classes": [
-            {"canonical": c, "size": size, "table": table(c)}
-            for c, size in zip(canonicals.tolist(), sizes[canonicals].tolist())
+            {"canonical": c, "size": sizes[c], "table": table(c)}
+            for c in canonicals
         ],
         "pc_classes": pc_classes,
     }
@@ -276,8 +285,10 @@ def _hit_report(rows, grid_a: list[float], grid_b: list[float], fmt: str):
     if not len(rows):
         yield "[]\n" if as_json else head
         return
+    import numpy as np
+
     a_text, b_text = [value_text(v) for v in grid_a], [value_text(v) for v in grid_b]
-    canon = npn.canonical_map(3)
+    canon = np.asarray(npn.canonical_map(3))
     sizes = np.bincount(canon)
     yield head
     per_piece = 256
@@ -302,16 +313,15 @@ def cmd_search(args) -> int:
 
     if args.target == "all":
         counts = search_mod.achievable_classes(template, grid_a, grid_b, quantizer)
-        sizes = np.bincount(npn.canonical_map(3))
-        canonicals = np.flatnonzero(sizes).tolist()
+        sizes = Counter(npn.canonical_map(3))
         rows = [
             {
                 "canonical": c,
-                "size": size,
+                "size": sizes[c],
                 "achievable": c in counts,
                 "tables": counts.get(c, 0),
             }
-            for c, size in zip(canonicals, sizes[canonicals].tolist())
+            for c in sorted(sizes)
         ]
         if args.format == "json":
             text = json.dumps(rows, sort_keys=True, indent=2) + "\n"

@@ -9,13 +9,15 @@ the other, i.e. when one physical implementation realizes both under a
 relabelling of its levels; the orbits of this action are the equivalence
 classes.
 
-Two computations over the whole function set avoid walking all group
-elements.  :func:`canonical_map` finds orbit minima by min-label propagation
-with pointer jumping over five generators of the group.  :func:`burnside_count`
-averages fixed-point counts that follow from each transform's cycle type
-(Burnside's lemma, as in Polya counting); it uses no digit table and no
-gather, so it shares no code path with the canonical map and the two class
-counts check each other.
+Two computations cover the whole function set, in plain Python.
+:func:`canonical_map` enumerates each orbit once, from its smallest member:
+the group acts on a table's rows by a map on row codes (perm_b and
+perm_out), a row order (perm_a) and a transposition (the swap), so an
+orbit's images are sums of table entries, at most 432 per orbit.
+:func:`burnside_count` averages fixed-point counts that follow from each
+transform's cycle type (Burnside's lemma, as in Polya counting); it lists no
+orbit and no image, so it shares no code path with the canonical map and the
+two class counts check each other.
 
 Tables are handled internally as tuples of ``radix**2`` digits in
 ``range(radix)``, with the cell for inputs ``(da, db)`` at flat position
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ternary import TernaryFunction
 
@@ -195,84 +198,71 @@ def stabilizer(index: int, radix: int = 3) -> tuple[NpnTransform, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _all_digit_tables(radix: int = 3) -> np.ndarray:
-    """(num_functions, cells) digit matrix covering every function index."""
-    cells = radix * radix
-    count = radix**cells
-    out = np.empty((count, cells), dtype=np.uint8)
-    rem = np.arange(count, dtype=_index_dtype(radix))
-    for c in range(cells):
-        out[:, c] = rem % radix
-        rem //= radix
-    out.flags.writeable = False
-    return out
+def _moved_rows(radix: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """What one row of a table adds to the index of each of its images.
 
-
-def _generators(radix: int) -> tuple[NpnTransform, ...]:
-    """A generating set of the group: a transposition and an n-cycle on input
-    A's values, the input swap, and the same two permutations on the output.
-    Input B's permutations arise by conjugating A's with the swap.  For radix
-    2 the cycle equals the transposition, which is harmless."""
-    ident = tuple(range(radix))
-    transposition = (1, 0) + ident[2:]
-    cycle = ident[1:] + (0,)
-    return (
-        NpnTransform(transposition, ident, False, ident),
-        NpnTransform(cycle, ident, False, ident),
-        NpnTransform(ident, ident, True, ident),
-        NpnTransform(ident, ident, False, transposition),
-        NpnTransform(ident, ident, False, cycle),
-    )
-
-
-def _index_dtype(radix: int) -> np.dtype:
-    """Smallest unsigned dtype that holds ``radix**cells`` (uint16 for radix 3)."""
-    return np.min_scalar_type(radix ** (radix * radix))
-
-
-@functools.lru_cache(maxsize=None)
-def _gather_tables(radix: int = 3) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per generator: source cell for each destination cell, plus the output
-    digit map, so a whole function set transforms by one numpy gather per cell."""
+    A row code is a row's digits read as a little-endian base-``radix``
+    number, and row ``a`` of a function index is its ``a``-th digit in base
+    ``radix**radix``.  A transform without the input swap maps every row
+    code by one row map (from perm_b and perm_out) and moves row ``a`` to
+    place ``perm_a[a]``, so ``moved[a][code]`` lists, for each such
+    transform (perm_a major), the row map's image of ``code`` weighted by
+    that place; an image's index is the sum over the rows."""
+    perms = tuple(itertools.permutations(range(radix)))
+    codes = radix**radix
+    row_maps = [
+        [sum(po[code // radix**b % radix] * radix ** pb[b] for b in range(radix)) for code in range(codes)]
+        for pb in perms
+        for po in perms
+    ]
+    placed = [[tuple(m[code] * codes**k for m in row_maps) for code in range(codes)] for k in range(radix)]
     return tuple(
-        (np.argsort(t.cells()), np.array(t.perm_out, dtype=_index_dtype(radix)))
-        for t in _generators(radix)
+        tuple(sum((placed[pa[a]][code] for pa in perms), ()) for code in range(codes)) for a in range(radix)
     )
 
 
+_add_elementwise = functools.partial(map, operator.add)
+
+
+def _transpose(index: int, radix: int = 3) -> int:
+    """Index of the transposed table: the image under the input swap."""
+    digits = digits_of_index(index, radix)
+    return index_of_digits(tuple(digits[radix * b + a] for a in range(radix) for b in range(radix)), radix)
+
+
+def _images(index: int, radix: int = 3) -> Iterator[int]:
+    """The index of ``index``'s image under every transform without the
+    input swap, in the order of :func:`_moved_rows` (216 for radix 3, with
+    repeats when the function has a nontrivial stabilizer).  With the
+    images of the transpose these are the images under the whole group."""
+    moved, codes = _moved_rows(radix), radix**radix
+    return functools.reduce(_add_elementwise, [moved[a][index // codes**a % codes] for a in range(radix)])
+
+
 @functools.lru_cache(maxsize=None)
-def canonical_map(radix: int = 3) -> np.ndarray:
+def canonical_map(radix: int = 3) -> memoryview:
     """Canonical (minimum orbit member) index for every function index.
 
-    Orbits are the connected components of the graph whose edges join each
-    function to its images under the generators.  Every label starts as the
-    function's own index; each round lowers a label to the smallest one among
-    its generator images, then jumps every label to its label's label, until
-    a round changes nothing.  A label always names a member of the function's
-    orbit.  In a finite group each inverse is a power of its element, so the
-    forward edges alone connect every orbit and the fixed point holds the
-    orbit minimum everywhere.  Images and labels are function indices, held
-    in the smallest unsigned dtype that holds them.
-    """
-    digits = _all_digit_tables(radix)
-    count, dtype = len(digits), _index_dtype(radix)
-    images = []
-    for src_of_dst, vperm in _gather_tables(radix):
-        # the image's index, one digit column at a time
-        image = np.zeros(count, dtype=dtype)
-        for c, src in enumerate(src_of_dst.tolist()):
-            image += vperm[digits[:, src]] * radix**c
-        images.append(image)
-    label = np.arange(count, dtype=dtype)
-    while True:
-        previous = label
-        for image in images:
-            label = np.minimum(label, label[image])
-        label = label[label]
-        if np.array_equal(label, previous):
-            break
-    label.flags.writeable = False
-    return label
+    Orbits are enumerated in order of their smallest member: the first
+    function without a label is the minimum of its orbit, and all its
+    images get its index as their label.  The transforms without the swap
+    form a subgroup, so the orbit is the union of the subgroup orbits of
+    the function and of its transpose (see :func:`_images`), which are
+    equal or disjoint; the second is labelled only when it is new.  The
+    labels are held in an ``array`` of the smallest unsigned type that
+    holds them (uint16 for radix 3, uint8 for 2) and returned as a
+    read-only memoryview, which ``np.asarray`` wraps without a copy."""
+    count = radix ** (radix * radix)
+    unlabelled = count  # no function index, and it fits the label type
+    label = array("B" if count < 2**8 else "H", [unlabelled]) * (count + 1)  # the last entry ends the scan
+    f = label.index(unlabelled)
+    while f < count:
+        for g in (f, _transpose(f, radix)):
+            if label[g] != f:
+                for image in _images(g, radix):
+                    label[image] = f
+        f = label.index(unlabelled, f + 1)
+    return memoryview(label)[:count].toreadonly()
 
 
 def canonical_index(index: int, radix: int = 3) -> int:
@@ -286,13 +276,10 @@ def canonical_index(index: int, radix: int = 3) -> int:
 def classify_all(radix: int = 3) -> list[NpnClass]:
     """Partition every function of the radix (19,683 ternary, 16 binary)
     into equivalence classes, sorted by canonical index."""
-    canon = canonical_map(radix)
-    order = np.argsort(canon, kind="stable")
-    _, starts = np.unique(canon[order], return_index=True)
-    return [
-        NpnClass(int(canon[members[0]]), tuple(members.tolist()), radix)
-        for members in np.split(order, starts[1:])
-    ]
+    members: dict[int, list[int]] = {}
+    for f, c in enumerate(canonical_map(radix)):
+        members.setdefault(c, []).append(f)
+    return [NpnClass(c, tuple(group), radix) for c, group in sorted(members.items())]
 
 
 def _iterate(perm: tuple[int, ...], d: int, times: int) -> int:

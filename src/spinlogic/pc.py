@@ -9,19 +9,21 @@ input swap exchanges the two multisets), so each equivalence class from
 some PC classes merge several of them (84 equivalence classes fall into 33
 PC classes); for binary gates the two partitions coincide.
 
-:func:`pc_keys` gives every function index its signature as one uint16 key,
-which orders functions exactly as their normalized signatures, so the key
-array next to :func:`spinlogic.npn.canonical_map` answers every class-level
-question (class sizes, the NPN classes each PC class spans, whether every
-NPN class lies in one PC class) without listing any class's members.
+:func:`pc_keys` gives every function index its signature as one key, in an
+array of uint16 keys that orders functions exactly as their normalized
+signatures.  The keys are built from the tables alone, without the
+equivalence classes, so the key array next to
+:func:`spinlogic.npn.canonical_map` answers every class-level question
+(class sizes, the NPN classes each PC class spans, whether every NPN class
+lies in one PC class) without listing any class's members, and the last of
+these is a check of one against the other.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from . import npn
 from .ternary import TernaryFunction
@@ -73,32 +75,41 @@ class PcClass:
         return len(self.npn_canonicals) == 1
 
 
-def pc_keys(radix: int = 3) -> np.ndarray:
-    """PC key of every function index (19,683 ternary, 16 binary), uint16.
+def pc_keys(radix: int = 3) -> array:
+    """PC key of every function index (19,683 ternary, 16 binary), as an
+    ``array`` of uint16 keys.
 
     The sorted distinct counts of a table's rows, and of its columns, are
     each read as a base-(radix + 1) number, most significant count first;
     the key is (smaller number, larger number) read as two digits of base
     (radix + 1)**radix, so keys order functions exactly as their normalized
-    signatures, and :func:`signature_of_key` decodes one.  Counts are uint8,
-    accumulated by one comparison pass over the digit tables per value."""
-    grids = npn._all_digit_tables(radix).reshape(-1, radix, radix)
-    rows = np.zeros(grids.shape[:2], dtype=np.uint8)
-    cols = np.zeros_like(rows)
-    for v in range(radix):
-        present = grids == v
-        rows += present.any(axis=2)
-        cols += present.any(axis=1)
-    rows.sort(axis=1)
-    cols.sort(axis=1)
-    row_key = np.zeros(len(grids), dtype=np.uint16)
-    col_key = np.zeros_like(row_key)
-    for c in range(radix):
-        row_key = row_key * (radix + 1) + rows[:, c]
-        col_key = col_key * (radix + 1) + cols[:, c]
-    key = np.minimum(row_key, col_key) * (radix + 1) ** radix
-    key += np.maximum(row_key, col_key)
-    return key
+    signatures, and :func:`signature_of_key` decodes one.
+
+    A function index is its rows' codes (each row's digits read in base
+    radix) as digits of base radix**radix, so every function's row counts,
+    and its transpose's index, are built row by row from tables over the
+    row codes.  The column counts of a function are the row counts of its
+    transpose."""
+    base, codes = radix + 1, radix**radix
+    high = base**radix
+    row_digits = [[code // radix**b % radix for b in range(radix)] for code in range(codes)]
+    unsorted = array("B", [0])  # the rows' distinct counts in row order, in base radix + 1
+    transposed = array("H", [0])
+    for a in range(radix):
+        counts = [len(set(digits)) * base**a for digits in row_digits]
+        unsorted = array("B", (u + c for c in counts for u in unsorted))
+        # row a of a table is column a of its transpose
+        spread = [sum(d * radix ** (radix * b + a) for b, d in enumerate(digits)) for digits in row_digits]
+        transposed = array("H", (t + s for s in spread for t in transposed))
+    # the same counts sorted, smallest the most significant digit
+    sorted_number = [
+        sum(c * base**i for i, c in enumerate(sorted((u // base**a % base for a in range(radix)), reverse=True)))
+        for u in range(high)
+    ]
+    rows = array("B", map(sorted_number.__getitem__, unsorted))
+    return array(
+        "H", (r * high + c if r <= c else c * high + r for r, c in zip(rows, map(rows.__getitem__, transposed)))
+    )
 
 
 def signature_of_key(key: int, radix: int = 3) -> PcSignature:
@@ -121,15 +132,11 @@ def pc_classify_all(radix: int = 3) -> list[PcClass]:
     signature order, and every class lists its members as Python ints.
     Class sizes and spanned NPN classes alone need no member lists: they
     follow from the key array and the canonical map."""
-    key = pc_keys(radix)
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order])) + 1
+    members: dict[int, list[int]] = {}
+    for f, k in enumerate(pc_keys(radix)):
+        members.setdefault(k, []).append(f)
     canon = npn.canonical_map(radix)
     return [
-        PcClass(
-            signature_of_key(key[members[0]], radix),
-            tuple(members.tolist()),
-            tuple(sorted(set(canon[members].tolist()))),
-        )
-        for members in np.split(order, starts)
+        PcClass(signature_of_key(k, radix), tuple(group), tuple(sorted({canon[f] for f in group})))
+        for k, group in sorted(members.items())
     ]

@@ -362,7 +362,7 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     # cell (x, y, z) holds rows with codes x, y, z: function index x + 27y + 729z
     ordered = triple.transpose(2, 1, 0).ravel()
     per_class = np.zeros(ordered.size, dtype=np.int64)
-    np.add.at(per_class, npn.canonical_map(3), ordered)
+    np.add.at(per_class, np.asarray(npn.canonical_map(3)), ordered)
     if (per_class % 6).any():
         raise AssertionError("ordered triple counts are not a multiple of the 6 row orders")
     hit = np.flatnonzero(per_class)
@@ -394,7 +394,7 @@ def hit_rows(
     ValueError that names the exact number of hits, counted by
     ``_class_counts``."""
     classes = {npn.canonical_index(t) for t in targets}
-    wanted = np.isin(npn.canonical_map(3), list(classes))
+    wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
     n, m = digits.shape
     found, kept = [], 0
@@ -434,7 +434,7 @@ def search(
     equivalence class, in the same order; each class's orbit is computed
     once."""
     rows = hit_rows(template, grid_a, grid_b, q, targets)
-    canon = npn.canonical_map(3)
+    canon = np.asarray(npn.canonical_map(3))
     classes = {c: npn.orbit(c) for c in sorted(set(canon[rows[:, 6]].tolist()))}
     return [
         SearchHit(

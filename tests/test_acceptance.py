@@ -54,8 +54,6 @@ def selective_delay_canonical():
 def test_criterion_01_class_count_and_burnside():
     with criterion(1, "84 NPN classes summing to 19,683; Burnside agrees; < 10 s"):
         npn.canonical_map.cache_clear()
-        npn._gather_tables.cache_clear()
-        npn._all_digit_tables.cache_clear()
         npn.all_transforms.cache_clear()
         start = time.perf_counter()
         classes = npn.classify_all()

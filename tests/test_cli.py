@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from array import array
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -428,16 +430,39 @@ def test_classify_fails_its_self_check_when_a_function_leaves_its_pc_class(monke
     original = pc.pc_keys
 
     def one_function_moved(r):
-        key = original(r).copy()
-        canon = npn.canonical_map(r)
-        moved = int(np.flatnonzero(canon != np.arange(len(canon)))[0])  # not a canonical
-        key[moved] = key[key != key[moved]][0]
+        key = array("H", original(r))
+        moved = next(f for f, c in enumerate(npn.canonical_map(r)) if c != f)  # not a canonical
+        key[moved] = next(k for k in key if k != key[moved])
         return key
 
     monkeypatch.setattr(pc, "pc_keys", one_function_moved)
     report = cli._classify_report(radix)
     assert report["pc_consistent"] is False and report["self_check"] == "fail"
     code, out, _ = run(capsys, "classify", "--radix", str(radix), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["self_check"] == "fail"
+
+
+def test_classify_fails_its_self_check_when_a_function_changes_class(monkeypatch, capsys):
+    # move a function into another NPN class of the same PC class: class
+    # counts, Burnside's count and PC consistency still hold, but the two
+    # classes' sizes no longer both divide the group order of 432
+    key, original = pc.pc_keys(3), npn.canonical_map(3)
+    sizes = Counter(original)
+    moved, into = next(
+        (f, d)
+        for f, c in enumerate(original)
+        if f != c
+        for d in sizes
+        if d != c and key[d] == key[c] and (432 % (sizes[c] - 1) or 432 % (sizes[d] + 1))
+    )
+    labels = array(original.format, original)
+    labels[moved] = into
+    monkeypatch.setattr(npn, "canonical_map", lambda radix=3: labels)
+    report = cli._classify_report(3)
+    assert report["npn_class_count"] == report["burnside_count"] == 84
+    assert report["pc_consistent"] is True and report["self_check"] == "fail"
+    code, out, _ = run(capsys, "classify", "--radix", "3", "--format", "json")
     assert code == 1
     assert json.loads(out)["self_check"] == "fail"
 
@@ -634,24 +659,28 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
 
 def test_classify_and_hit_search_do_not_import_numpy_ma():
     # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports
-    # it.  Each command also loads only the layers it uses.
+    # it.  Each command also loads only the layers it uses: classify and a
+    # usage error load no numpy at all.
     grid = "lin:0:6.283185307179586:8"
+    layers = ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]
     commands = [
-        (["classify", "--radix", "3"], ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]),
+        (["classify", "--radix", "3"], 0, ["numpy", *layers]),
+        (["search"], 2, ["numpy", *layers, "spinlogic.pc"]),
         (
             ["search", "--sequence", "single-pulse", "--grid-a", grid, "--grid-b", grid,
              "--target", "multiplication"],
-            ["spinlogic.complexlogic", "spinlogic.pc"],
+            0,
+            ["numpy.ma", "spinlogic.complexlogic", "spinlogic.pc"],
         ),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
-    for argv, unused in commands:
+    for argv, code, unused in commands:
         script = (
             "import contextlib, io, sys\n"
             "from spinlogic.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert main({argv!r}) == 0\n"
-            f"print([m for m in {['numpy.ma', *unused]!r} if m in sys.modules])\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main({argv!r}) == {code}\n"
+            f"print([m for m in {unused!r} if m in sys.modules])\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -109,7 +109,7 @@ def test_pc_keys_order_and_group_functions_as_scalar_signatures(radix):
     the distinct keys, ascending, decode to strictly ascending signatures, so
     two functions' keys compare exactly as their signatures do."""
     key = pc.pc_keys(radix)
-    assert key.dtype == np.uint16 and key.shape == (radix ** (radix * radix),)
+    assert np.asarray(key).dtype == np.uint16 and len(key) == radix ** (radix * radix)
     signatures = []
     for i in range(len(key)):
         d = npn.digits_of_index(i, radix)

@@ -237,7 +237,7 @@ def digit_grids(draw):
 @settings(max_examples=60, deadline=None)
 @given(digit_grids())
 def test_histogram_counts_equal_pairwise_counts(digits):
-    values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
+    values, counts = np.unique(np.asarray(npn.canonical_map(3))[_table_indices(digits)], return_counts=True)
     got = search._class_counts(digits)
     assert got == dict(zip(values.tolist(), counts.tolist()))
     n, m = digits.shape
@@ -271,7 +271,7 @@ def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
     b_combos = list(itertools.combinations(grid_b, 3))
     expected = [
         (a_combos[k], b_combos[l], int(indices[k, l]))
-        for k, l in zip(*np.nonzero(np.isin(npn.canonical_map(3)[indices], wanted)))
+        for k, l in zip(*np.nonzero(np.isin(np.asarray(npn.canonical_map(3))[indices], wanted)))
     ]
     assert expected
     assert [(h.a_values, h.b_values, h.index) for h in hits] == expected
@@ -307,7 +307,7 @@ def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     # at 64 cells a tile holds 4 of the 7 rows of 5 points times 3 peaks
     assert np.array_equal(tpl.readouts(grid_a, grid_b), expected)
     assert np.array_equal(search._quantized_grid(tpl, grid_a, grid_b, Quantizer()), expected_digits)
-    values, counts = np.unique(npn.canonical_map(3)[_table_indices(digits)], return_counts=True)
+    values, counts = np.unique(np.asarray(npn.canonical_map(3))[_table_indices(digits)], return_counts=True)
     assert search._class_counts(digits) == dict(zip(values.tolist(), counts.tolist()))
 
 
