@@ -101,7 +101,12 @@ def _classify_report(radix: int) -> dict:
     values = {2: (0, 1), 3: (-1, 0, 1)}[radix]
     functions = radix ** (radix * radix)
     canon, key = npn.canonical_map(radix), pc.pc_keys(radix)
-    sizes, pc_sizes = Counter(canon), Counter(key)
+    # one lazy pass over the functions: how many carry each (canonical, key) pair
+    pairs = Counter(zip(canon, key))
+    sizes, pc_sizes = Counter(), Counter()
+    for (c, k), n in pairs.items():
+        sizes[c] += n
+        pc_sizes[k] += n
     canonicals = sorted(sizes)
     spanned: dict[int, list[int]] = {}
     for c in canonicals:
@@ -118,10 +123,11 @@ def _classify_report(radix: int) -> dict:
                 "single_npn": len(spans) == 1,
             }
         )
-    # every NPN class lies in exactly one PC class: each function shares its canonical's key
-    pc_consistent = all(key[f] == key[c] for f, c in enumerate(canon))
+    # every NPN class lies in exactly one PC class: each canonical occurs with
+    # its own key only, so every function shares its canonical's key
+    pc_consistent = all(key[c] == k for c, k in pairs)
     burnside = npn.burnside_count(radix)
-    order = len(npn.all_transforms(radix))
+    order = len(npn.fixed_point_counts(radix))
     checks_pass = (
         len(canonicals) == expected_npn
         and len(pc_classes) == expected_pc

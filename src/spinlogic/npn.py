@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from array import array
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .ternary import TernaryFunction
 
@@ -52,22 +53,32 @@ def _check_perm(perm: tuple[int, ...], radix: int) -> tuple[int, ...]:
     return perm
 
 
-@dataclass(frozen=True)
-class NpnTransform:
+class NpnTransform(namedtuple("NpnTransform", "perm_a perm_b swap_inputs perm_out")):
     """One element of the relabelling group: value permutations on each
-    input, an optional input swap, and a value permutation on the output."""
+    input, an optional input swap, and a value permutation on the output.
 
-    perm_a: tuple[int, ...]
-    perm_b: tuple[int, ...]
-    swap_inputs: bool
-    perm_out: tuple[int, ...]
+    A named tuple of those four fields: ``len(t) == 4``, iterating ``t``
+    yields them in order, and ``t`` equals (and hashes as) the plain tuple
+    ``(perm_a, perm_b, swap_inputs, perm_out)``."""
 
-    def __post_init__(self) -> None:
-        radix = len(self.perm_a)
-        object.__setattr__(self, "perm_a", _check_perm(self.perm_a, radix))
-        object.__setattr__(self, "perm_b", _check_perm(self.perm_b, radix))
-        object.__setattr__(self, "perm_out", _check_perm(self.perm_out, radix))
-        object.__setattr__(self, "swap_inputs", bool(self.swap_inputs))
+    __slots__ = ()
+
+    def __new__(cls, perm_a, perm_b, swap_inputs, perm_out) -> "NpnTransform":
+        radix = len(perm_a)
+        return tuple.__new__(
+            cls,
+            (
+                _check_perm(perm_a, radix),
+                _check_perm(perm_b, radix),
+                bool(swap_inputs),
+                _check_perm(perm_out, radix),
+            ),
+        )
+
+    @classmethod
+    def _make(cls, fields) -> "NpnTransform":
+        # ``_replace`` builds through ``_make``; validate there too
+        return cls(*fields)
 
     @property
     def radix(self) -> int:
@@ -169,13 +180,13 @@ def apply_transform(t: NpnTransform, f: TernaryFunction) -> TernaryFunction:
     return TernaryFunction(tuple(d - 1 for d in apply_to_digits(t, digits)))
 
 
-@dataclass(frozen=True)
-class NpnClass:
-    """An orbit of the relabelling group, canonicalized by its minimum index."""
+class NpnClass(namedtuple("NpnClass", "canonical members radix", defaults=(3,))):
+    """An orbit of the relabelling group, canonicalized by its minimum index.
 
-    canonical: int
-    members: tuple[int, ...]
-    radix: int = 3
+    A named tuple (``len(c) == 3``, iteration in field order, equal to the
+    plain tuple ``(canonical, members, radix)``)."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -297,17 +308,26 @@ def fixed_point_counts(radix: int = 3) -> list[int]:
     ``f(sigma(c)) == pi(f(c))`` for every cell.  Going once round a cell
     cycle of length ``L`` gives ``f(c) == pi**L(f(c))``: the digit on one
     cell of the cycle is any fixed point of ``pi**L`` and fixes the rest.
+    The cell map does not depend on ``pi``, so the cycle lengths of each
+    (perm_a, perm_b, swap) cell map are found once and combined with each
+    ``pi``, in the order of :func:`all_transforms`, and no transform is built.
     """
     r = radix
+    perms = list(itertools.permutations(range(r)))
+    # fixed[i][L]: how many digits the i-th output permutation, applied L times, fixes
+    fixed = [
+        [sum(1 for d in range(r) if _iterate(pi, d, length) == d) for length in range(r * r + 1)]
+        for pi in perms
+    ]
     counts = []
-    for t in all_transforms(radix):
+    for perm_a, perm_b, swap in itertools.product(perms, perms, (False, True)):
         # its own copy of the cell map, so the count shares no code with canonical_map
-        sigma = [0] * (r * r)
-        for da in range(r):
-            for db in range(r):
-                ia, ib = t.perm_a[da], t.perm_b[db]
-                sigma[r * da + db] = r * ib + ia if t.swap_inputs else r * ia + ib
-        count = 1
+        sigma = [
+            r * perm_b[db] + perm_a[da] if swap else r * perm_a[da] + perm_b[db]
+            for da in range(r)
+            for db in range(r)
+        ]
+        lengths = []
         seen = [False] * (r * r)
         for start in range(r * r):
             length, cell = 0, start
@@ -316,8 +336,8 @@ def fixed_point_counts(radix: int = 3) -> list[int]:
                 cell = sigma[cell]
                 length += 1
             if length:
-                count *= sum(1 for d in range(r) if _iterate(t.perm_out, d, length) == d)
-        counts.append(count)
+                lengths.append(length)
+        counts.extend(math.prod(f[length] for length in lengths) for f in fixed)
     return counts
 
 

@@ -21,24 +21,26 @@ these is a check of one against the other.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from . import npn
 from .ternary import TernaryFunction
 
 
-@dataclass(frozen=True)
-class PcSignature:
+class PcSignature(namedtuple("PcSignature", "first second")):
     """Unordered pair of sorted distinct-count multisets.
 
     Stored normalized (lexicographically smaller multiset first), so
     constructing from (rows, cols) and (cols, rows) yields equal values.
+    A named tuple: ``len(s) == 2``, iterating ``s`` yields ``first`` and
+    ``second``, and ``s`` equals the plain tuple ``(first, second)``.
     """
 
-    first: tuple[int, ...]
-    second: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, row_counts: Sequence[int], col_counts: Sequence[int]) -> "PcSignature":
@@ -57,14 +59,14 @@ def pc_signature(f: TernaryFunction) -> PcSignature:
     return signature_of_grid(f.rows())
 
 
-@dataclass(frozen=True)
-class PcClass:
+class PcClass(namedtuple("PcClass", "signature members npn_canonicals")):
     """All functions sharing one signature, with the canonical indices of the
-    equivalence classes they span."""
+    equivalence classes they span.
 
-    signature: PcSignature
-    members: tuple[int, ...]
-    npn_canonicals: tuple[int, ...]
+    A named tuple (``len(c) == 3``, iteration in field order, equal to the
+    plain tuple ``(signature, members, npn_canonicals)``)."""
+
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -85,31 +87,53 @@ def pc_keys(radix: int = 3) -> array:
     (radix + 1)**radix, so keys order functions exactly as their normalized
     signatures, and :func:`signature_of_key` decodes one.
 
-    A function index is its rows' codes (each row's digits read in base
-    radix) as digits of base radix**radix, so every function's row counts,
-    and its transpose's index, are built row by row from tables over the
-    row codes.  The column counts of a function are the row counts of its
-    transpose."""
+    Each function's small numbers are the bytes of one ``bytes`` object of
+    one byte per function index, so one pass handles every function.  A
+    function index is its rows' codes (each row's digits read in base
+    radix) as digits of base radix**radix, so a table over the codes of
+    row ``a``, each entry repeated radix**(radix*a) times and the whole
+    repeated, gives every function's entry; a sum of such bytes is one
+    big-int addition, with no carry between bytes as every sum stays below
+    256; and ``bytes.translate`` looks every byte up in a table.  The code
+    of column ``b`` is such a sum over the rows' digits ``b``, and a line
+    of ``n`` distinct values adds (radix + 1)**(n - 1), so summing over the
+    rows (or the columns) counts the lines of each distinct count: the
+    sorted counts, one of the few multisets that occur."""
     base, codes = radix + 1, radix**radix
-    high = base**radix
-    row_digits = [[code // radix**b % radix for b in range(radix)] for code in range(codes)]
-    unsorted = array("B", [0])  # the rows' distinct counts in row order, in base radix + 1
-    transposed = array("H", [0])
-    for a in range(radix):
-        counts = [len(set(digits)) * base**a for digits in row_digits]
-        unsorted = array("B", (u + c for c in counts for u in unsorted))
-        # row a of a table is column a of its transpose
-        spread = [sum(d * radix ** (radix * b + a) for b, d in enumerate(digits)) for digits in row_digits]
-        transposed = array("H", (t + s for s in spread for t in transposed))
-    # the same counts sorted, smallest the most significant digit
-    sorted_number = [
-        sum(c * base**i for i, c in enumerate(sorted((u // base**a % base for a in range(radix)), reverse=True)))
-        for u in range(high)
-    ]
-    rows = array("B", map(sorted_number.__getitem__, unsorted))
-    return array(
-        "H", (r * high + c if r <= c else c * high + r for r, c in zip(rows, map(rows.__getitem__, transposed)))
-    )
+    count, high = codes**radix, base**radix
+    digits = [[code // radix**b % radix for b in range(radix)] for code in range(codes)]
+
+    def spread(table: list[int], a: int) -> bytes:
+        return b"".join(bytes([t]) * codes**a for t in table) * codes ** (radix - 1 - a)
+
+    def total(parts) -> bytes:
+        return sum(int.from_bytes(p, "little") for p in parts).to_bytes(count, "little")
+
+    def lookup(table: list[int]) -> bytes:
+        return bytes(table).ljust(256, b"\0")
+
+    weight = [base ** (len(set(d)) - 1) for d in digits]
+    rows = total(spread(weight, a) for a in range(radix))
+    columns = (total(spread([d[b] * radix**a for d in digits], a) for a in range(radix)) for b in range(radix))
+    cols = total(c.translate(lookup(weight)) for c in columns)
+    # ascending tuples in lexicographic order, which is the order of their numbers
+    multisets = list(itertools.combinations_with_replacement(range(1, base), radix))
+    number = [sum(c * base ** (radix - 1 - i) for i, c in enumerate(m)) for m in multisets]
+    rank = [0] * high
+    for i, m in enumerate(multisets):
+        rank[sum(base ** (c - 1) for c in m)] = i
+    k = len(multisets)
+    # the two ranks as one byte, below k*k (100 for radix 3), then its key's two bytes
+    pair = total([rows.translate(lookup([r * k for r in rank])), cols.translate(lookup(rank))])
+    key = [number[min(i, j)] * high + number[max(i, j)] for i in range(k) for j in range(k)]
+    # little-endian uint16: low byte first
+    halves = bytearray(2 * count)
+    halves[0::2] = pair.translate(lookup([v & 255 for v in key]))
+    halves[1::2] = pair.translate(lookup([v >> 8 for v in key]))
+    keys = array("H", halves)
+    if sys.byteorder == "big":
+        keys.byteswap()
+    return keys
 
 
 def signature_of_key(key: int, radix: int = 3) -> PcSignature:

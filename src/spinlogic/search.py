@@ -337,18 +337,20 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     STEP_CELLS each product is small enough for BLAS to run on one thread."""
     n, m = digits.shape
     chunk = max(1, STEP_CELLS // (n + _CODES * _CODES))
-    # float64 matrix products are exact while every partial sum is an integer below 2**53
-    if chunk * n**3 >= 2**53:
-        raise ValueError(f"grid of {n} a-values is too large to count exactly")
+    # float64 matrix products are exact while every partial sum is an integer
+    # below 2**53; past that a step holds one b-triple (chunk is 1 for n over
+    # 130,343), and n**3 < 2**63 on any grid of at most MAX_GRID_POINTS
+    # values, so int64 products are exact
+    step_dtype = np.float64 if chunk * n**3 < 2**53 else np.int64
     triple = np.zeros((_CODES,) * 3, dtype=np.int64)
-    step_triple = np.empty((_CODES,) * 3)
+    step_triple = np.empty((_CODES,) * 3, dtype=step_dtype)
     pair = np.zeros((_CODES, _CODES), dtype=np.int64)
     single = np.zeros(_CODES, dtype=np.int64)
     for b in _triples(m, chunk):
         k = len(b)
         bins = _row_codes(digits, b).T + _CODES * np.arange(k)[:, None]
         hist = np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
-        h = hist.astype(np.float64)
+        h = hist.astype(step_dtype)
         for z in range(_CODES):
             np.matmul(h.T, h * h[:, z : z + 1], out=step_triple[z])
         triple += step_triple.astype(np.int64)

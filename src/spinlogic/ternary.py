@@ -11,7 +11,7 @@ function is index 0 and the constant +1 function is index 19,682.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
 VALUES: tuple[int, int, int] = (-1, 0, 1)
@@ -32,17 +32,25 @@ def cell_index(a: int, b: int) -> int:
     return 3 * (_check_value(a) + 1) + (_check_value(b) + 1)
 
 
-@dataclass(frozen=True)
-class TernaryFunction:
-    """Immutable 3x3 truth table over {-1, 0, +1}."""
+class TernaryFunction(namedtuple("TernaryFunction", "outputs")):
+    """Immutable 3x3 truth table over {-1, 0, +1}.
 
-    outputs: tuple[int, ...]
+    A one-field named tuple: ``len(f) == 1``, iterating ``f`` yields its
+    ``outputs``, and ``f`` equals (and hashes as) the plain tuple
+    ``(f.outputs,)``."""
 
-    def __post_init__(self) -> None:
-        outputs = tuple(_check_value(v) for v in self.outputs)
+    __slots__ = ()
+
+    def __new__(cls, outputs: Iterable[int]) -> "TernaryFunction":
+        outputs = tuple(_check_value(v) for v in outputs)
         if len(outputs) != NUM_CELLS:
             raise ValueError(f"expected {NUM_CELLS} outputs, got {len(outputs)}")
-        object.__setattr__(self, "outputs", outputs)
+        return tuple.__new__(cls, (outputs,))
+
+    @classmethod
+    def _make(cls, fields) -> "TernaryFunction":
+        # ``_replace`` builds through ``_make``; validate there too
+        return cls(*fields)
 
     def __call__(self, a: int, b: int) -> int:
         return self.outputs[cell_index(a, b)]

@@ -660,11 +660,12 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
 def test_classify_and_hit_search_do_not_import_numpy_ma():
     # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports
     # it.  Each command also loads only the layers it uses: classify and a
-    # usage error load no numpy at all.
+    # usage error load no numpy at all, and classify no dataclasses (with
+    # the inspect module they import, about 12 ms).
     grid = "lin:0:6.283185307179586:8"
     layers = ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]
     commands = [
-        (["classify", "--radix", "3"], 0, ["numpy", *layers]),
+        (["classify", "--radix", "3"], 0, ["numpy", "dataclasses", "inspect", *layers]),
         (["search"], 2, ["numpy", *layers, "spinlogic.pc"]),
         (
             ["search", "--sequence", "single-pulse", "--grid-a", grid, "--grid-b", grid,

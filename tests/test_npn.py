@@ -253,6 +253,43 @@ def test_fixed_point_counts_equal_brute_force(radix):
     assert npn.fixed_point_counts(radix) == expected
 
 
+def fixed_point_counts_reference(radix):
+    """Fixed-point counts as first written, one transform object at a time:
+    the cell map of each transform of ``all_transforms``, its cycles, and
+    for each cycle of length L the digits that perm_out**L fixes."""
+    r = radix
+    counts = []
+    for t in npn.all_transforms(radix):
+        sigma = [0] * (r * r)
+        for da in range(r):
+            for db in range(r):
+                ia, ib = t.perm_a[da], t.perm_b[db]
+                sigma[r * da + db] = r * ib + ia if t.swap_inputs else r * ia + ib
+        count = 1
+        seen = [False] * (r * r)
+        for start in range(r * r):
+            length, cell = 0, start
+            while not seen[cell]:
+                seen[cell] = True
+                cell = sigma[cell]
+                length += 1
+            if length:
+                fixed = 0
+                for d in range(r):
+                    image = d
+                    for _ in range(length):
+                        image = t.perm_out[image]
+                    fixed += image == d
+                count *= fixed
+        counts.append(count)
+    return counts
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_fixed_point_counts_equal_the_per_transform_reference(radix):
+    assert npn.fixed_point_counts(radix) == fixed_point_counts_reference(radix)
+
+
 def test_binary_classification():
     classes = npn.classify_all(2)
     assert len(classes) == 4
@@ -272,3 +309,28 @@ def test_transform_validation():
         npn.NpnTransform((0, 0, 1), (0, 1, 2), False, (0, 1, 2))
     with pytest.raises(ValueError):
         npn.apply_transform(npn.identity_transform(2), multiplication())
+
+
+def test_group_values_are_immutable_named_tuples():
+    t = npn.NpnTransform([1, 0, 2], (0, 1, 2), 1, (2, 1, 0))
+    with pytest.raises(ValueError, match=r"^not a permutation of range\(3\): \(0, 0, 1\)$"):
+        npn.NpnTransform((0, 1, 2), (0, 0, 1), False, (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^not a permutation of range\(3\): \(0, 1\)$"):
+        npn.NpnTransform((0, 1, 2), (0, 1, 2), False, (0, 1))
+    with pytest.raises(ValueError, match=r"^not a permutation of range\(3\): \(2, 2, 0\)$"):
+        t._replace(perm_out=(2, 2, 0))
+    assert repr(t) == "NpnTransform(perm_a=(1, 0, 2), perm_b=(0, 1, 2), swap_inputs=True, perm_out=(2, 1, 0))"
+    same = npn.NpnTransform((1, 0, 2), [0, 1, 2], True, [2, 1, 0])
+    assert t == same and hash(t) == hash(same) and {t: "t"}[same] == "t"
+    assert t != npn.identity_transform(3)
+    assert len(t) == 4 and tuple(t) == ((1, 0, 2), (0, 1, 2), True, (2, 1, 0)) and t == tuple(t)
+    c = npn.NpnClass(0, (0, 9841, 19682))
+    assert c.radix == 3 and c.size == 3
+    assert repr(c) == "NpnClass(canonical=0, members=(0, 9841, 19682), radix=3)"
+    assert c == npn.orbit(9841) and hash(c) == hash(npn.orbit(0)) and {c: 1}[npn.orbit(19682)] == 1
+    assert len(c) == 3 and c == (0, (0, 9841, 19682), 3)
+    for value, field in ((t, "perm_a"), (t, "swap_inputs"), (c, "members"), (c, "radix")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError):
+            value.extra = 1

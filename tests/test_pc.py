@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -118,3 +119,53 @@ def test_pc_keys_order_and_group_functions_as_scalar_signatures(radix):
     ordered = [pc.signature_of_key(k, radix) for k in sorted(set(key.tolist()))]
     as_tuples = [(s.first, s.second) for s in ordered]
     assert all(x < y for x, y in zip(as_tuples, as_tuples[1:]))
+
+
+def pc_keys_reference(radix):
+    """PC keys as first built, one function at a time: row counts and the
+    transpose index row by row from tables over the row codes, and the
+    column counts as the row counts of the transpose."""
+    base, codes = radix + 1, radix**radix
+    high = base**radix
+    row_digits = [[code // radix**b % radix for b in range(radix)] for code in range(codes)]
+    unsorted = array("B", [0])
+    transposed = array("H", [0])
+    for a in range(radix):
+        counts = [len(set(digits)) * base**a for digits in row_digits]
+        unsorted = array("B", (u + c for c in counts for u in unsorted))
+        spread = [sum(d * radix ** (radix * b + a) for b, d in enumerate(digits)) for digits in row_digits]
+        transposed = array("H", (t + s for s in spread for t in transposed))
+    sorted_number = [
+        sum(c * base**i for i, c in enumerate(sorted((u // base**a % base for a in range(radix)), reverse=True)))
+        for u in range(high)
+    ]
+    rows = array("B", map(sorted_number.__getitem__, unsorted))
+    return array(
+        "H", (r * high + c if r <= c else c * high + r for r, c in zip(rows, map(rows.__getitem__, transposed)))
+    )
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_pc_keys_equal_the_row_by_row_reference(radix):
+    key = pc.pc_keys(radix)
+    assert key.typecode == "H"
+    assert key == pc_keys_reference(radix)
+
+
+def test_pc_values_are_immutable_named_tuples():
+    sig = pc.PcSignature.of((3, 1, 3), (1, 3, 3))
+    same = pc.PcSignature((1, 3, 3), (1, 3, 3))
+    assert sig == same and hash(sig) == hash(same) and {sig: 1}[same] == 1
+    assert repr(sig) == "PcSignature(first=(1, 3, 3), second=(1, 3, 3))"
+    assert len(sig) == 2 and tuple(sig) == (sig.first, sig.second) and sig == ((1, 3, 3), (1, 3, 3))
+    cls = pc.PcClass(sig, (0, 1), (0,))
+    assert repr(cls) == (
+        "PcClass(signature=PcSignature(first=(1, 3, 3), second=(1, 3, 3)), members=(0, 1), npn_canonicals=(0,))"
+    )
+    assert cls == pc.PcClass(same, (0, 1), (0,)) and hash(cls) == hash(pc.PcClass(same, (0, 1), (0,)))
+    assert len(cls) == 3 and cls == (sig, (0, 1), (0,)) and cls.size == 2 and cls.single_npn
+    for value, field in ((sig, "first"), (cls, "members")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError):
+            value.extra = 1

@@ -415,10 +415,32 @@ def test_triples_are_the_combinations_in_chunks(n, size):
 
 
 def test_exactness_guard_at_its_boundary():
-    # one step of one b-triple: n**3 must stay below 2**53
+    # one step of one b-triple: below n**3 = 2**53 the products are float64,
+    # from there on int64, and both count exactly
     assert search._class_counts(np.zeros((208063, 3), np.uint8)) == {0: math.comb(208063, 3)}
-    with pytest.raises(ValueError, match="too large to count exactly"):
-        search._class_counts(np.zeros((208064, 3), np.uint8))
+    assert search._class_counts(np.zeros((208064, 3), np.uint8)) == {0: math.comb(208064, 3)}
+    assert search._class_counts(np.full((300000, 3), 1, np.uint8)) == {0: math.comb(300000, 3)}
+    # an odd n**3 above 2**53 has no float64 representation
+    assert search._class_counts(np.full((299999, 3), 2, np.uint8)) == {0: math.comb(299999, 3)}
+
+
+@pytest.mark.parametrize("n", [208063, 208064])
+def test_class_counts_on_a_tall_grid_equal_the_histogram_oracle(n):
+    # with one b-triple, the a-triples taking c_x rows of code x form
+    # prod C(h_x, c_x) tables, counted here with Python ints
+    digits = np.random.default_rng(n).integers(0, 3, size=(n, 3), dtype=np.uint8)
+    codes = digits[:, 0].astype(np.int64) + 3 * digits[:, 1] + 9 * digits[:, 2]
+    hist = np.bincount(codes, minlength=27).tolist()
+    expected: dict[int, int] = {}
+    for x, y, z in itertools.combinations_with_replacement(range(27), 3):
+        multiplicity = {x: 0, y: 0, z: 0}
+        for code in (x, y, z):
+            multiplicity[code] += 1
+        tables = math.prod(math.comb(hist[code], c) for code, c in multiplicity.items())
+        canonical = npn.canonical_index(x + 27 * y + 729 * z)
+        expected[canonical] = expected.get(canonical, 0) + tables
+    assert search._class_counts(digits) == {c: t for c, t in expected.items() if t}
+    assert sum(expected.values()) == math.comb(n, 3)
 
 
 def test_class_count_working_memory_does_not_grow_with_the_step():

@@ -100,3 +100,23 @@ def test_from_rows_and_rows_roundtrip():
     mult = multiplication()
     assert TernaryFunction.from_rows(mult.rows()) == mult
     assert mult.rows() == ((1, 0, -1), (0, 0, 0), (-1, 0, 1))
+
+
+def test_ternary_function_is_an_immutable_value():
+    f = TernaryFunction([1, 0, -1, 0, 0, 0, -1, 0, 1])
+    with pytest.raises(ValueError, match=r"^ternary value must be -1, 0 or \+1, got 2$"):
+        TernaryFunction((2,) * 9)
+    with pytest.raises(ValueError, match="^expected 9 outputs, got 8$"):
+        TernaryFunction((0,) * 8)
+    with pytest.raises(ValueError, match="^expected 9 outputs, got 8$"):
+        f._replace(outputs=(0,) * 8)
+    with pytest.raises(AttributeError):
+        f.outputs = (0,) * 9
+    with pytest.raises(AttributeError):
+        f.label = "mult"
+    g = TernaryFunction((1, 0, -1, 0, 0, 0, -1, 0, 1))
+    assert f == g and hash(f) == hash(g) and {f: "mult"}[g] == "mult"
+    assert f != decode(0)
+    assert repr(f) == "TernaryFunction(outputs=(1, 0, -1, 0, 0, 0, -1, 0, 1))"
+    # a one-field named tuple
+    assert len(f) == 1 and tuple(f) == (f.outputs,) and f == (f.outputs,)
