@@ -354,6 +354,9 @@ def _phase_distance(t1: float, t2: float) -> float:
 
 
 def cmd_complex(args) -> int:
+    expected = 4 if args.action == "mul" else 1
+    if len(args.values) != expected:
+        raise ValueError(f"complex {args.action} takes {expected} value(s)")
     from . import complexlogic
 
     params = complexlogic.EncodingParams(t1=args.t1, omega_off=args.omega_off, alpha=args.alpha)
@@ -477,11 +480,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports its own usage errors
         return int(exc.code or 0)
-    if args.command == "complex":
-        expected = 4 if args.action == "mul" else 1
-        if len(args.values) != expected:
-            print(f"error: complex {args.action} takes {expected} value(s)", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -308,12 +308,21 @@ def _triples(n: int, size: int):
         yield chunk
 
 
-def _row_codes(digits: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row code (0..26) of every grid row under every b-triple: the digits
-    at the triple's three columns, read as a little-endian base-3 number.
-    The table of a-triple (i, j, k) and b-triple l has function index
-    ``code[i, l] + 27*code[j, l] + 729*code[k, l]``."""
-    return digits[..., b[:, 0]] + 3 * digits[..., b[:, 1]] + 9 * digits[..., b[:, 2]]
+def _steps(digits: np.ndarray, cells: int):
+    """The one walk over the b-triples of the digit grid, which the class
+    count and the hit search each fold: (b, codes) per step, ``b`` a (k, 3)
+    chunk of b-triples in lexicographic order and ``codes`` the (n, k) row
+    codes (0..26) of all n grid rows under them, the digits at each
+    triple's three columns read as a little-endian base-3 number.  The table
+    of a-triple (i, j, k) and b-triple l has function index
+    ``codes[i, l] + 27*codes[j, l] + 729*codes[k, l]``.
+
+    A step takes k = STEP_CELLS // (n + cells) b-triples, at least one, for
+    a fold that works on ``cells`` cells per b-triple besides its n row
+    codes, so a step stays within STEP_CELLS cells whatever the grid size,
+    and each b-triple is made once."""
+    for b in _triples(digits.shape[1], max(1, STEP_CELLS // (len(digits) + cells))):
+        yield b, digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]]
 
 
 def _class_counts(digits: np.ndarray) -> dict[int, int]:
@@ -329,28 +338,26 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     single counts on the main diagonal.  Each unordered a-triple appears six
     times in the result, once per row order, all in the same class.
 
-    A step takes k = STEP_CELLS // (n + 27*27) b-triples, at least one, and
-    adds its triple product slice by slice: the slice of code z is the
-    (27, k) @ (k, 27) product of the histograms with themselves weighted by
-    the count of z.  So a step holds its (k, n) row codes and a few (k, 27)
-    arrays, never a (k, 27*27) outer product, and with 27*27*k at most
-    STEP_CELLS each product is small enough for BLAS to run on one thread."""
-    n, m = digits.shape
-    chunk = max(1, STEP_CELLS // (n + _CODES * _CODES))
-    # float64 matrix products are exact while every partial sum is an integer
-    # below 2**53; past that a step holds one b-triple (chunk is 1 for n over
-    # 130,343), and n**3 < 2**63 on any grid of at most MAX_GRID_POINTS
-    # values, so int64 products are exact
-    step_dtype = np.float64 if chunk * n**3 < 2**53 else np.int64
+    A fold over the steps of ``_steps`` with 27*27 cells per b-triple: each
+    step of k b-triples adds its triple product slice by slice, the slice of
+    code z being the (27, k) @ (k, 27) product of the histograms with
+    themselves weighted by the count of z.  So a step holds its row codes
+    and a few (k, 27) arrays, never a (k, 27*27) outer product, and each
+    product is small enough for BLAS to run on one thread."""
+    n = len(digits)
     triple = np.zeros((_CODES,) * 3, dtype=np.int64)
-    step_triple = np.empty((_CODES,) * 3, dtype=step_dtype)
     pair = np.zeros((_CODES, _CODES), dtype=np.int64)
     single = np.zeros(_CODES, dtype=np.int64)
-    for b in _triples(m, chunk):
+    for b, codes in _steps(digits, _CODES * _CODES):
         k = len(b)
-        bins = _row_codes(digits, b).T + _CODES * np.arange(k)[:, None]
+        bins = codes.T + _CODES * np.arange(k)[:, None]
         hist = np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
-        h = hist.astype(step_dtype)
+        # float64 matrix products are exact while every partial sum is an
+        # integer below 2**53, which k * n**3 bounds; past that a step holds
+        # one b-triple (n over 130,343), and n**3 < 2**63 on any grid of at
+        # most MAX_GRID_POINTS values, so int64 products are exact
+        h = hist.astype(np.float64 if k * n**3 < 2**53 else np.int64)
+        step_triple = np.empty((_CODES,) * 3, dtype=h.dtype)
         for z in range(_CODES):
             np.matmul(h.T, h * h[:, z : z + 1], out=step_triple[z])
         triple += step_triple.astype(np.int64)
@@ -385,23 +392,22 @@ def hit_rows(
     its canonical representative first.  An empty result is a valid answer
     (the template cannot realize the targets on these grids).
 
-    One walk over the b-triples, as in ``_class_counts``: a step takes
-    STEP_CELLS // (n + min(C(n,3), 27*27)) b-triples, at least one, and the
-    row codes of all n rows under them; the a-triples are scored against
-    those codes in blocks of STEP_CELLS // (b-triples in the step), whose
-    uint16 function indices are built in place.  So each b-triple is made
-    once and the working memory is bounded by STEP_CELLS cells plus the
-    rows, which are sorted into triple order at the end.  Past
-    MAX_GRID_POINTS kept rows the walk stops, drops them and raises a
-    ValueError that names the exact number of hits, counted by
-    ``_class_counts``."""
+    A fold over the steps of ``_steps`` with min(C(n,3), 27*27) cells per
+    b-triple, the width capped so that a grid of few a-values still takes
+    large steps: the a-triples are scored against a step's row codes in
+    blocks of STEP_CELLS // (b-triples in the step), whose uint16 function
+    indices are built in place.  So the working memory is bounded by
+    STEP_CELLS cells plus the rows, which are sorted into triple order at
+    the end.  Past MAX_GRID_POINTS kept rows the walk stops, drops them and
+    raises a ValueError that names the exact number of hits, counted by one
+    ``_class_counts`` walk for all target classes."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
-    n, m = digits.shape
+    n = len(digits)
     found, kept = [], 0
-    for b in _triples(m, max(1, STEP_CELLS // (n + min(math.comb(n, 3), _CODES * _CODES)))):
-        codes = _row_codes(digits, b).astype(np.uint16)
+    for b, codes in _steps(digits, min(math.comb(n, 3), _CODES * _CODES)):
+        codes = codes.astype(np.uint16)
         for a in _triples(n, max(1, STEP_CELLS // len(b))):
             # code_i + 27*code_j + 729*code_k, by Horner's rule
             index = codes[a[:, 2]]
@@ -416,7 +422,7 @@ def hit_rows(
             kept += len(rows)
             if kept > MAX_GRID_POINTS:
                 found.clear()
-                total = sum(_class_counts(digits).get(c, 0) for c in classes)
+                total = sum(count for c, count in _class_counts(digits).items() if c in classes)
                 raise ValueError(
                     f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}"
                 )

@@ -316,6 +316,21 @@ def test_complex_wrong_arity(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mul", "1", "0"], "error: complex mul takes 4 value(s)"),
+        (["truth", "1", "0"], "error: complex truth takes 1 value(s)"),
+        # the count is checked before the encoding constants
+        (["mul", "1", "0", "--t1", "inf"], "error: complex mul takes 4 value(s)"),
+    ],
+)
+def test_complex_arity_error_is_one_line(capsys, argv, message):
+    code, out, err = run(capsys, "complex", *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["classify", "--radix", "5"]) == 2
     assert main(["nonsense"]) == 2

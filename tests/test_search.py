@@ -275,6 +275,36 @@ def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
     ]
     assert expected
     assert [(h.a_values, h.b_values, h.index) for h in hits] == expected
+    # the class count makes each b-triple once too, and no a-triple
+    made.clear()
+    achievable_classes(tpl, grid_a, grid_b)
+    assert made == {len(grid_b): math.comb(len(grid_b), 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
+def test_hits_per_class_equal_the_class_counts(digits, step_cells, data):
+    # the two folds over the b-triple walk: listing the hits of a class
+    # finds as many as counting the class's pairs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "STEP_CELLS", step_cells)
+        mp.setattr(search, "_quantized_grid", lambda *args: digits)
+        counts = search._class_counts(digits)
+        some = st.one_of(st.sampled_from(sorted(counts)), st.integers(0, 3**9 - 1))
+        targets = data.draw(st.sets(some, min_size=1, max_size=4))
+        rows = search.hit_rows(None, None, None, targets=targets)
+    canon = np.asarray(npn.canonical_map(3))
+    classes = {npn.canonical_index(t) for t in targets}
+    values, found = np.unique(canon[rows[:, 6]], return_counts=True)
+    assert dict(zip(values.tolist(), found.tolist())) == {c: counts[c] for c in classes if c in counts}
+    # each row is its table: the digits at its a-rows and b-columns
+    powers = 3 ** (3 * np.arange(3)[:, None] + np.arange(3))
+    tables = digits[rows[:, :3, None], rows[:, None, 3:6]].astype(np.int64)
+    assert np.array_equal((tables * powers).sum(axis=(1, 2)), rows[:, 6])
+    # ascending triples, each pair once, in strict triple order
+    assert (np.diff(rows[:, :3]) > 0).all() and (np.diff(rows[:, 3:6]) > 0).all()
+    pairs = [tuple(r[:6]) for r in rows.tolist()]
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
 @pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
@@ -725,6 +755,26 @@ def test_hit_search_past_the_cap_names_the_exact_total(monkeypatch):
     monkeypatch.setattr(search, "MAX_GRID_POINTS", total - 1)
     with pytest.raises(ValueError, match=f"^search has {total} hits, more than the limit of {total - 1}$"):
         search.hit_rows(single_pulse_template(), grid, grid, targets={target})
+
+
+def test_hit_search_past_the_cap_counts_the_classes_once(monkeypatch):
+    grid = [2 * math.pi * k / 9 for k in range(10)]
+    targets = {encode(multiplication()), 403, 5}
+    counts = achievable_classes(single_pulse_template(), grid, grid)
+    total = sum(counts[npn.canonical_index(t)] for t in targets)
+    assert total == 752 + 1304 + 1040
+    walks = []
+    class_counts = search._class_counts
+
+    def counting_class_counts(digits):
+        walks.append(digits.shape)
+        return class_counts(digits)
+
+    monkeypatch.setattr(search, "_class_counts", counting_class_counts)
+    monkeypatch.setattr(search, "MAX_GRID_POINTS", 100)
+    with pytest.raises(ValueError, match=f"^search has {total} hits, more than the limit of 100$"):
+        search.hit_rows(single_pulse_template(), grid, grid, targets=targets)
+    assert walks == [(10, 10)]
 
 
 def test_hit_search_working_memory_on_the_benchmark_grid(tmp_path):
