@@ -30,10 +30,13 @@ RAW_SLACK = 1e-9
 # count, which keep each of its 27x27 slice products within this many
 # multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
 # whose a-triple blocks also hold at most this many pairs of uint16 function
-# indices.  A readout tile peaks at about 20 MB of float64 temporaries, 72 to
-# 81 bytes per point-peak on the built-in templates and on a 300-peak T1
-# template (tracemalloc), whatever the number of peaks or columns; a
-# class-count or hit-search step at a few MB.
+# indices, and whose prune holds at most this many histogram entries and
+# tested cells at a time.  A readout tile peaks at 6.5 to 18 MB of float64
+# arrays, 25 to 68 bytes per point-peak (tracemalloc): 25 to 33 on the
+# built-in templates, 53 on a 3-peak and 68 on a 300-peak T1 template, whose
+# walk holds the last tile's x and z while it simulates the next; a
+# class-count or hit-search step peaks at a few MB (2.4 MB on 7 a-values,
+# where a prune block holds a whole step of 6,241 b-triples).
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -325,6 +328,46 @@ def _steps(digits: np.ndarray, cells: int):
         yield b, digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]]
 
 
+def _histograms(codes: np.ndarray) -> np.ndarray:
+    """The (k, 27) histograms of a step's (n, k) row codes, one per b-triple."""
+    k = codes.shape[1]
+    bins = codes.T + _CODES * np.arange(k)[:, None]
+    return np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
+
+
+def _target_cells(wanted: np.ndarray) -> np.ndarray:
+    """The target cells of the wanted function indices x + 27y + 729z with
+    x <= y <= z, as a (3, m) array of columns of ``_admitted``'s table: x,
+    y + 27*[y=x] and z + 27*([z=x] + [z=y]), that is, each code with the
+    number of rows it needs before it.  A table's rows can be put in any
+    order within its class, so these cells stand for all of them."""
+    index = np.flatnonzero(wanted)
+    x, y, z = index % _CODES, index // _CODES % _CODES, index // _CODES**2
+    ordered = (x <= y) & (y <= z)
+    x, y, z = x[ordered], y[ordered], z[ordered]
+    return np.stack([x, y + _CODES * (y == x), z + _CODES * (z == x) + _CODES * (z == y)])
+
+
+def _admitted(codes: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Whether each b-triple of a step's (n, k) row codes holds three
+    distinct rows with the codes (x, y, z) of some target cell, that is,
+    whether its row-code histogram h has h_x*(h_y - [y=x])*(h_z - [z=x] -
+    [z=y]) > 0.  Tested on the table h > r of code + 27r for r = 0, 1, 2,
+    in blocks of b-triples that hold at most STEP_CELLS histogram entries
+    and tested cells together."""
+    k = codes.shape[1]
+    admitted = np.empty(k, dtype=bool)
+    size = max(1, STEP_CELLS // (_CODES + cells.shape[1]))
+    for low in range(0, k, size):
+        hist = _histograms(codes[:, low : low + size])
+        table = (hist[:, None, :] > np.arange(3)[:, None]).reshape(len(hist), 3 * _CODES)
+        holds = table[:, cells[0]]
+        holds &= table[:, cells[1]]
+        holds &= table[:, cells[2]]
+        holds.any(axis=1, out=admitted[low : low + size])
+    return admitted
+
+
 def _class_counts(digits: np.ndarray) -> dict[int, int]:
     """Canonical index -> number of (a-triple, b-triple) pairs of the digit
     grid whose table lies in that class.
@@ -350,8 +393,7 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     single = np.zeros(_CODES, dtype=np.int64)
     for b, codes in _steps(digits, _CODES * _CODES):
         k = len(b)
-        bins = codes.T + _CODES * np.arange(k)[:, None]
-        hist = np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
+        hist = _histograms(codes)
         # float64 matrix products are exact while every partial sum is an
         # integer below 2**53, which k * n**3 bounds; past that a step holds
         # one b-triple (n over 130,343), and n**3 < 2**63 on any grid of at
@@ -394,19 +436,32 @@ def hit_rows(
 
     A fold over the steps of ``_steps`` with min(C(n,3), 27*27) cells per
     b-triple, the width capped so that a grid of few a-values still takes
-    large steps: the a-triples are scored against a step's row codes in
-    blocks of STEP_CELLS // (b-triples in the step), whose uint16 function
-    indices are built in place.  So the working memory is bounded by
-    STEP_CELLS cells plus the rows, which are sorted into triple order at
-    the end.  Past MAX_GRID_POINTS kept rows the walk stops, drops them and
-    raises a ValueError that names the exact number of hits, counted by one
-    ``_class_counts`` walk for all target classes."""
+    large steps.  Where scoring a b-triple costs more than testing it, a
+    step first drops each b-triple whose row-code histogram admits no
+    target cell (``_admitted``), since it holds no hit, so a grid whose
+    b-triples admit no target scores no a-triple.  The a-triples are scored
+    against the kept b-triples' row codes in blocks of STEP_CELLS // (kept
+    b-triples), whose uint16 function indices are built in place.  So the
+    working memory is bounded by STEP_CELLS cells plus the rows, which are
+    sorted into triple order at the end.  Past MAX_GRID_POINTS kept rows the
+    walk stops, drops them and raises a ValueError that names the exact
+    number of hits, counted by one ``_class_counts`` walk for all target
+    classes."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
     n = len(digits)
-    found, kept = [], 0
+    cells = _target_cells(wanted)
+    # per b-triple the prune holds 27 + m entries (histogram and m target
+    # cells), the scoring C(n,3) function indices
+    prune = math.comb(n, 3) > _CODES + cells.shape[1]
+    found, kept = [np.empty((0, 7), dtype=np.int32)], 0
     for b, codes in _steps(digits, min(math.comb(n, 3), _CODES * _CODES)):
+        if prune:
+            admitted = _admitted(codes, cells)
+            b, codes = b[admitted], codes[:, admitted]
+            if not len(b):
+                continue
         codes = codes.astype(np.uint16)
         for a in _triples(n, max(1, STEP_CELLS // len(b))):
             # code_i + 27*code_j + 729*code_k, by Horner's rule

@@ -12,9 +12,13 @@ not modeled; readout happens at acquisition start, before any decay would
 matter for the logic experiments simulated here.
 
 Readout models the integral of the frequency-domain signal as the plain sum
-of per-peak transverse components.  The rotation and precession formulas
-are array-generic: :func:`run_steps` applies them to (rows, columns, peaks)
-arrays, the one element loop behind every simulation.
+of per-peak transverse components.  :func:`run_steps` is the one element
+loop behind every simulation.  It runs a whole (rows, columns) grid of
+copies of a system at once, on a state that starts as one vector per peak
+and grows only along the grid axes that a step's values vary, and it writes
+each element's rotation or precession into preallocated arrays in a fixed
+operation order, so a readout is the same to the last bit whatever the grid
+it is part of.
 
 Systems and sequences are read from JSON documents (schema below) by
 :func:`document_from_dict`, the one reader, in a single walk that also
@@ -160,17 +164,41 @@ class PulseSequence:
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
-def _rotate(x, y, z, beta, phi):
-    # Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0).
+def _rotate(x, y, z, beta, phi, window=()):
+    # Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0):
+    #   nx = x*c + ky*z*s + kx*dot*t,  ny = y*c - kx*z*s + ky*dot*t,
+    #   nz = z*c + (kx*y - ky*x)*s,    dot = kx*x + ky*y,  t = 1 - c,
+    # each product and difference taken in that order, so every bit equals
+    # the expressions'; only sums of two terms swap sides, which is exact.
+    # It writes three new arrays of the broadcast shape of the state, the
+    # angles and a selective pulse's ``window``, with one scratch array: ny
+    # holds dot until ny's own terms, and nz is scratch until its turn.
     kx, ky = np.cos(phi), np.sin(phi)
     c, s = np.cos(beta), np.sin(beta)
-    dot = kx * x + ky * y
     t = 1.0 - c
-    return (
-        x * c + ky * z * s + kx * dot * t,
-        y * c - kx * z * s + ky * dot * t,
-        z * c + (kx * y - ky * x) * s,
-    )
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, np.shape(kx), np.shape(c), window)
+    nx, ny, nz, e = (np.empty(shape) for _ in range(4))
+    dot = np.multiply(kx, x, out=ny)
+    dot += np.multiply(ky, y, out=e)
+    np.multiply(x, c, out=nx)
+    np.multiply(ky, z, out=e)
+    e *= s
+    nx += e
+    np.multiply(kx, dot, out=e)
+    e *= t
+    nx += e
+    dot *= ky  # ny = (ky*dot)*t + ((y*c) - (kx*z)*s)
+    ny *= t
+    np.multiply(y, c, out=e)
+    np.multiply(kx, z, out=nz)
+    nz *= s
+    e -= nz
+    ny += e
+    np.multiply(kx, y, out=nz)  # nz = (kx*y - ky*x)*s + z*c
+    nz -= np.multiply(ky, x, out=e)
+    nz *= s
+    nz += np.multiply(z, c, out=e)
+    return nx, ny, nz
 
 
 # libm's exp: numpy's own exp is dispatched per CPU and differs from it in the
@@ -179,11 +207,31 @@ _exp = np.vectorize(math.exp, otypes=[float])
 
 
 def _evolve(x, y, z, offset, tau, t1):
-    # Precession about z by offset*tau; mz recovers toward 1 where t1 is finite.
+    # Precession about z by offset*tau, x*c - y*s and x*s + y*c; mz recovers
+    # as 1 + (z - 1)*exp(-tau/t1) where t1 is finite and is z itself where
+    # it is not.  Three new arrays, the scratch array of mx and my becoming
+    # mz, whose T1 peaks are recovered in a copy gathered by index: a masked
+    # ufunc (where=) was several times slower when T1 and T1-free peaks
+    # alternate.
     angle = offset * tau
     c, s = np.cos(angle), np.sin(angle)
-    recovered = 1.0 + (z - 1.0) * _exp(-tau / t1)
-    return x * c - y * s, x * s + y * c, np.where(np.isfinite(t1), recovered, z)
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, c.shape)
+    nx, ny, e = (np.empty(shape) for _ in range(3))
+    np.multiply(x, c, out=nx)
+    nx -= np.multiply(y, s, out=e)
+    np.multiply(x, s, out=ny)
+    ny += np.multiply(y, c, out=e)
+    relaxing = np.flatnonzero(np.isfinite(t1))
+    if not len(relaxing):
+        return nx, ny, z
+    decay = _exp(-tau / t1)[..., relaxing]
+    np.copyto(e, z)
+    recovered = e[..., relaxing]
+    recovered -= 1.0
+    recovered *= decay
+    recovered += 1.0
+    e[..., relaxing] = recovered
+    return nx, ny, e
 
 
 def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
@@ -194,27 +242,39 @@ def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
     cell or an array that broadcasts against ``shape + (peaks,)``: on a
     (rows, columns) grid, an (m, 1) column varies along the columns and a
     (rows, 1, 1) slice along the rows.  Each sine, cosine and exponential
-    runs once per value it is given, not once per cell.  Returns the x, y
-    and z components as ``shape + (peaks,)`` arrays."""
+    runs once per value it is given, not once per cell.
+
+    The state grows only along the axes that a step varies: it starts as
+    one equilibrium vector per peak, shape (peaks,), and each step writes
+    arrays of the broadcast shape of the state and the step's values, so the
+    steps before a column value enters run on (rows, 1, peaks).  A step
+    allocates its three output arrays and one scratch array of that shape,
+    and a delay a copy of the T1 peaks' mz; a delay keeps mz as it is when
+    no peak has a T1.  Returns the x,
+    y and z components as read-only ``shape + (peaks,)`` broadcast views of
+    the final state, checked finite before they are broadcast."""
     offset = np.array([p.offset for p in s.peaks])
     t1 = np.array([p.t1 or math.inf for p in s.peaks])  # t1 is positive when set
-    shape = (*shape, len(offset))
-    state = np.zeros(shape), np.zeros(shape), np.ones(shape)
+    x = y = np.zeros(len(offset))
+    z = np.ones(len(offset))
     with np.errstate(over="ignore", invalid="ignore"):
         for kind, v in steps:
             if kind is HardPulse:
-                state = _rotate(*state, v["beta"], v["phi"])
+                x, y, z = _rotate(x, y, z, v["beta"], v["phi"])
             elif kind is SelectivePulse:
                 hit = np.abs(offset - v["target_offset"]) < v["tolerance"]
-                rotated = _rotate(*state, v["beta"], v["phi"])
-                state = tuple(np.where(hit, r, m) for r, m in zip(rotated, state))
+                rotated = _rotate(x, y, z, v["beta"], v["phi"], hit.shape)
+                for r, m in zip(rotated, (x, y, z)):
+                    np.copyto(r, m, where=~hit)  # peaks outside the window keep m
+                x, y, z = rotated
             elif kind is Delay:
-                state = _evolve(*state, offset, v["tau"], t1)
+                x, y, z = _evolve(x, y, z, offset, v["tau"], t1)
             else:
                 raise TypeError(f"unknown sequence element type {kind!r}")
-    if not all(np.isfinite(c).all() for c in state):
+    if not all(np.isfinite(c).all() for c in (x, y, z)):
         raise ValueError("magnetization is not finite: a precession angle offset*tau overflows")
-    return state
+    shape = (*shape, len(offset))
+    return tuple(np.broadcast_to(c, shape) for c in (x, y, z))
 
 
 def run_sequence(s: SpinSystem, seq: PulseSequence) -> SpinSystem:

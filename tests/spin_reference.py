@@ -1,11 +1,15 @@
-"""Stepwise reference of the spin simulator: one element applied to one
-frozen spin system at a time, peak by peak, with the rotation and precession
-formulas of :mod:`spinlogic.spinsim`.  Tests hold ``run_steps`` and
-``run_sequence`` to it, and check the formulas on states other than
-equilibrium through it."""
+"""Reference of the spin simulator, independent of :mod:`spinlogic.spinsim`'s
+kernel: the rotation and precession formulas written as plain array
+expressions, the element loop on fully built (rows, columns, peaks) arrays,
+and a stepwise form that applies one element to one frozen spin system at a
+time, peak by peak.  Tests hold ``run_steps`` and ``run_sequence`` to it, bit
+for bit where the arithmetic is the same, and check the formulas on states
+other than equilibrium through it."""
 
 import math
 from dataclasses import astuple, replace
+
+import numpy as np
 
 from spinlogic.spinsim import (
     EQUILIBRIUM,
@@ -15,15 +19,60 @@ from spinlogic.spinsim import (
     SelectivePulse,
     SequenceElement,
     SpinSystem,
-    _evolve,
-    _rotate,
 )
+
+# libm's exp, as the simulator uses it
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def rotate(x, y, z, beta, phi):
+    """Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0)."""
+    kx, ky = np.cos(phi), np.sin(phi)
+    c, s = np.cos(beta), np.sin(beta)
+    dot = kx * x + ky * y
+    t = 1.0 - c
+    return (
+        x * c + ky * z * s + kx * dot * t,
+        y * c - kx * z * s + ky * dot * t,
+        z * c + (kx * y - ky * x) * s,
+    )
+
+
+def evolve(x, y, z, offset, tau, t1):
+    """Precession about z by offset*tau; mz recovers toward 1 where t1 is finite."""
+    angle = offset * tau
+    c, s = np.cos(angle), np.sin(angle)
+    recovered = 1.0 + (z - 1.0) * _exp(-tau / t1)
+    return x * c - y * s, x * s + y * c, np.where(np.isfinite(t1), recovered, z)
+
+
+def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
+    """The element loop on full ``shape + (peaks,)`` arrays from the first
+    step on: every element builds whole new arrays, and a selective pulse
+    picks between the rotated and the unrotated state with ``np.where``."""
+    offset = np.array([p.offset for p in s.peaks])
+    t1 = np.array([p.t1 or math.inf for p in s.peaks])
+    shape = (*shape, len(offset))
+    state = np.zeros(shape), np.zeros(shape), np.ones(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind, v in steps:
+            if kind is HardPulse:
+                state = rotate(*state, v["beta"], v["phi"])
+            elif kind is SelectivePulse:
+                hit = np.abs(offset - v["target_offset"]) < v["tolerance"]
+                rotated = rotate(*state, v["beta"], v["phi"])
+                state = tuple(np.where(hit, r, m) for r, m in zip(rotated, state))
+            elif kind is Delay:
+                state = evolve(*state, offset, v["tau"], t1)
+    if not all(np.isfinite(c).all() for c in state):
+        raise ValueError("magnetization is not finite: a precession angle offset*tau overflows")
+    return state
 
 
 def apply_hard_pulse(s: SpinSystem, beta: float, phi: float) -> SpinSystem:
     """Rotate every peak; pulses are instantaneous (no precession during)."""
     return SpinSystem(
-        tuple(replace(p, m=Magnetization(*_rotate(*astuple(p.m), beta, phi))) for p in s.peaks)
+        tuple(replace(p, m=Magnetization(*rotate(*astuple(p.m), beta, phi))) for p in s.peaks)
     )
 
 
@@ -42,7 +91,7 @@ def apply_delay(s: SpinSystem, tau: float) -> SpinSystem:
     tau = Delay(tau).tau
     return SpinSystem(
         tuple(
-            replace(p, m=Magnetization(*_evolve(*astuple(p.m), p.offset, tau, p.t1 or math.inf)))
+            replace(p, m=Magnetization(*evolve(*astuple(p.m), p.offset, tau, p.t1 or math.inf)))
             for p in s.peaks
         )
     )

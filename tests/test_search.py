@@ -307,6 +307,67 @@ def test_hits_per_class_equal_the_class_counts(digits, step_cells, data):
     assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
+def test_the_prune_keeps_exactly_the_b_triples_that_hold_a_hit(digits, step_cells, data):
+    classes = data.draw(st.sets(st.sampled_from(sorted(set(npn.canonical_map(3)))), max_size=4))
+    canon = np.asarray(npn.canonical_map(3))
+    cells = search._target_cells(np.isin(canon, list(classes)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "STEP_CELLS", step_cells)
+        admitted = np.concatenate(
+            [search._admitted(codes, cells) for _, codes in search._steps(digits, 27 * 27)]
+        )
+    assert np.array_equal(admitted, np.isin(canon[_table_indices(digits)], list(classes)).any(axis=0))
+
+
+def test_a_hit_search_without_admitted_b_triples_scores_no_a_triple(monkeypatch):
+    # a constant $A grid reads 0 everywhere: no row-code histogram admits a
+    # multiplication table, so no a-triple of the 1200 $A values is made
+    made = []
+    triples = search._triples
+
+    def counting_triples(n, size):
+        for chunk in triples(n, size):
+            made.append((n, len(chunk)))
+            yield chunk
+
+    monkeypatch.setattr(search, "_triples", counting_triples)
+    rows = search.hit_rows(single_pulse_template(), [0.0] * 1200, [0.5, 1.5, 2.5],
+                           targets={encode(multiplication())})
+    assert rows.shape == (0, 7) and rows.dtype == np.int32
+    assert made == [(3, 1)]
+
+
+def test_prune_working_memory():
+    # a full step of 30 rows, 345 b-triples, against all 3,654 target cells:
+    # (b-triple, cell) products in int64 traced 8.5 MB
+    n = 30
+    k = search.STEP_CELLS // (n + 27 * 27)
+    codes = np.random.default_rng(7).integers(0, 27, size=(n, k), dtype=np.uint8)
+    cells = search._target_cells(np.ones(27**3, dtype=bool))
+    assert (k, cells.shape) == (345, (3, 3654))
+    tracemalloc.start()
+    try:
+        admitted = search._admitted(codes, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert admitted.all() and peak < 1e6
+    # 7 rows, the fewest that prune against the constant class's cells: steps
+    # of 6,241 b-triples, a prune block each
+    grid_a = [2 * math.pi * k / 6 for k in range(7)]
+    grid_b = [2 * math.pi * k / 59 for k in range(60)]
+    assert search._target_cells(np.isin(npn.canonical_map(3), [0])).shape[1] < math.comb(7, 3) - 27
+    tracemalloc.start()
+    try:
+        rows = search.hit_rows(two_pulse_template(), grid_a, grid_b, targets={0})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 5840 and peak < 3e6
+
+
 @pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
 def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     # $A in a selective pulse's target_offset and $B in a T1 delay's tau, so
@@ -432,6 +493,46 @@ def test_many_peak_readouts_split_long_rows():
     assert values.shape == (3, 3000)
     # one row is 900,000 point-peaks; simulated whole, it took an 86.6 MB peak
     assert peak < 40e6
+
+
+def traced_bytes_per_point_peak(template, grid_a, grid_b):
+    """Peak traced bytes of ``readouts`` per point-peak of the grid."""
+    template.readouts(grid_a[:1], grid_b[:1])  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        template.readouts(grid_a, grid_b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (len(grid_a) * len(grid_b) * len(template.system.peaks))
+
+
+def test_readouts_trace_at_most_64_bytes_per_point_peak():
+    # three peaks, two with T1: hard pulse $A, delay, a pulse at phase $B
+    # selective for the middle peak, delay; one tile of 100 x 100 points
+    three_peaks = SequenceTemplate(
+        {
+            "peaks": [
+                {"label": "p1", "offset_rad_s": 2.0, "t1_s": 1.2},
+                {"label": "p2", "offset_rad_s": 5.0, "t1_s": 0.7},
+                {"label": "p3", "offset_rad_s": 8.0},
+            ],
+            "sequence": [
+                {"type": "hard_pulse", "beta": "$A", "phi": 0.3},
+                {"type": "delay", "tau": 0.25},
+                {"type": "selective_pulse", "beta": math.pi / 2, "phi": "$B",
+                 "target_offset": 5.0, "tolerance": 1.0},
+                {"type": "delay", "tau": 0.15},
+            ],
+        }
+    )
+    grid = [2 * math.pi * k / 99 for k in range(100)]
+    assert traced_bytes_per_point_peak(three_peaks, grid, grid) <= 64
+    # one single-pulse tile of exactly STEP_CELLS point-peaks, output included
+    side = math.isqrt(search.STEP_CELLS)
+    grid = [2 * math.pi * k / (side - 1) for k in range(side)]
+    assert side * side == search.STEP_CELLS
+    assert traced_bytes_per_point_peak(single_pulse_template(), grid, grid) <= 64
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 9, 23])

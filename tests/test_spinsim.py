@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlogic import spinsim
 from spinlogic.spinsim import (
@@ -17,6 +20,7 @@ from spinlogic.spinsim import (
     read_complex,
     read_mx,
     run_sequence,
+    run_steps,
 )
 from spinlogic.search import two_pulse_template
 from spin_reference import (
@@ -26,6 +30,7 @@ from spin_reference import (
     apply_selective_pulse,
     at_equilibrium,
 )
+import spin_reference
 
 
 def rotation_matrix(beta, phi):
@@ -320,3 +325,60 @@ def test_document_fields_match_the_schema():
         document_from_dict(doc)
     with pytest.raises(ValueError, match="must be an object"):
         document_from_dict([])
+
+
+OFFSETS = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A spin system of 1-4 peaks, some with T1, a (rows, columns) grid and
+    1-5 steps whose beta, phi, tau or target_offset is a constant, a
+    (rows, 1, 1) slice varying along the rows or a (columns, 1) column
+    varying along the columns; selective windows hit none, some or all of
+    the peaks."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    peaks = draw(st.lists(st.tuples(OFFSETS, st.none() | st.floats(0.1, 5.0)), min_size=1, max_size=4))
+    system = SpinSystem(tuple(Peak(f"p{k}", offset, t1=t1) for k, (offset, t1) in enumerate(peaks)))
+
+    def value(values):
+        axis = draw(st.sampled_from(["const", "rows", "cols"]))
+        if axis == "const":
+            return draw(values)
+        size = rows if axis == "rows" else cols
+        column = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+        return column.reshape(-1, 1, 1) if axis == "rows" else column.reshape(-1, 1)
+
+    angle, tau = st.floats(-7.0, 7.0), st.floats(0.0, 3.0)
+    target = st.sampled_from([p.offset for p in system.peaks]) | OFFSETS
+    steps = []
+    for kind in draw(st.lists(st.sampled_from([HardPulse, SelectivePulse, Delay]), min_size=1, max_size=5)):
+        if kind is Delay:
+            steps.append((Delay, {"tau": value(tau)}))
+        else:
+            fields = {"beta": value(angle), "phi": value(angle)}
+            if kind is SelectivePulse:
+                # a window of 1e-3 hits at most the peaks it is centred on, one of 100 all of them
+                fields |= {"target_offset": value(target), "tolerance": draw(st.sampled_from([1e-3, 1.0, 100.0]))}
+            steps.append((kind, fields))
+    return system, steps, (rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_run_steps_equals_the_full_array_reference_bit_for_bit(case):
+    system, steps, shape = case
+    got = run_steps(system, steps, shape)
+    expected = spin_reference.run_steps(system, steps, shape)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape == (*shape, len(system.peaks))
+        assert np.array_equal(g, e)
+
+
+def test_run_steps_raises_when_a_precession_angle_overflows():
+    system = SpinSystem((Peak("A", 10.0), Peak("B", 1.0, t1=1.0)))
+    steps = [(HardPulse, {"beta": 1.0, "phi": 0.0}), (Delay, {"tau": np.array([[1.0], [1e308]])})]
+    for run in (run_steps, spin_reference.run_steps):
+        with pytest.raises(ValueError, match="not finite"):
+            run(system, steps, (1, 2))
+    assert np.isfinite(run_steps(system, steps[:1], (1, 2))[0]).all()
