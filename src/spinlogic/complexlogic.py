@@ -20,7 +20,7 @@ transverse signal and rescales by ``alpha``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .spinsim import (
     TWO_PI,
@@ -39,19 +39,22 @@ _R_SLACK = 1e-9
 _ZERO_MAGNITUDE = 1e-12
 
 
-@dataclass(frozen=True)
-class ComplexSample:
-    """A continuous truth value: magnitude in [0, 1], phase in [0, 2*pi)."""
+class ComplexSample(namedtuple("ComplexSample", "r theta")):
+    """A continuous truth value: magnitude in [0, 1], phase in [0, 2*pi).
+    A named tuple, checked and normalized when built."""
 
-    r: float
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r = float(self.r)
+    def __new__(cls, r, theta) -> "ComplexSample":
+        r = float(r)
         if not math.isfinite(r) or r < -_R_SLACK or r > 1.0 + _R_SLACK:
             raise ValueError(f"magnitude must lie in [0, 1], got {r!r}")
-        object.__setattr__(self, "r", min(max(r, 0.0), 1.0))
-        object.__setattr__(self, "theta", normalize_phase(self.theta))
+        return tuple.__new__(cls, (min(max(r, 0.0), 1.0), normalize_phase(theta)))
+
+    @classmethod
+    def _make(cls, fields) -> "ComplexSample":
+        # ``_replace`` builds through ``_make``; validate there too
+        return cls(*fields)
 
     def to_complex(self) -> complex:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
@@ -62,23 +65,26 @@ class ComplexSample:
         return cls(r, math.atan2(z.imag, z.real) if r else 0.0)
 
 
-@dataclass(frozen=True)
-class EncodingParams:
+class EncodingParams(namedtuple("EncodingParams", "t1 omega_off alpha")):
     """NMR encoding constants: relaxation time, offset-frame frequency, and
-    the magnitude scale (alpha > 1 keeps r = 1 encodable in finite time)."""
+    the magnitude scale (alpha > 1 keeps r = 1 encodable in finite time).
+    A named tuple, checked when built."""
 
-    t1: float
-    omega_off: float
-    alpha: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _check_finite("t1", self.t1) <= 0:
-            raise ValueError(f"t1 must be positive, got {self.t1}")
-        omega_off = _check_finite("omega_off", self.omega_off)
-        if omega_off == 0 or not math.isfinite(TWO_PI / abs(omega_off)):
-            raise ValueError(f"omega_off must be nonzero, with a finite period, got {omega_off!r}")
-        if _check_finite("alpha", self.alpha) <= 1:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
+    def __new__(cls, t1, omega_off, alpha=2.0) -> "EncodingParams":
+        if _check_finite("t1", t1) <= 0:
+            raise ValueError(f"t1 must be positive, got {t1}")
+        omega = _check_finite("omega_off", omega_off)
+        if omega == 0 or not math.isfinite(TWO_PI / abs(omega)):
+            raise ValueError(f"omega_off must be nonzero, with a finite period, got {omega!r}")
+        if _check_finite("alpha", alpha) <= 1:
+            raise ValueError(f"alpha must exceed 1, got {alpha}")
+        return tuple.__new__(cls, (t1, omega_off, alpha))
+
+    @classmethod
+    def _make(cls, fields) -> "EncodingParams":
+        return cls(*fields)
 
 
 DEFAULT_PARAMS = EncodingParams(t1=1.0, omega_off=TWO_PI)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ RAW_SLACK = 1e-9
 
 # Cells per step of every grid walk, which sizes its step from the grid shape:
 # point-peaks of a readout tile, whole rows or, when one row alone is over
-# budget, part of a row; per b-triple, a-values plus 27*27 cells of the class
-# count, which keep each of its 27x27 slice products within this many
+# budget, part of a row; per b-triple, distinct a-rows plus 27*27 cells of the
+# class count, which keep each of its corner products within this many
 # multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
 # whose a-triple blocks also hold at most this many pairs of uint16 function
 # indices, and whose prune holds at most this many histogram entries and
@@ -45,17 +45,22 @@ STEP_CELLS = 1 << 18
 MAX_GRID_POINTS = 10**6
 
 
-@dataclass(frozen=True)
-class Quantizer:
+class Quantizer(namedtuple("Quantizer", "epsilon")):
     """Threshold map from readout to {-1, 0, +1}: magnitudes below epsilon
     become 0, everything else keeps its sign.  The threshold does not scale
-    with a template's readout bound."""
+    with a template's readout bound.  A named tuple, checked when built."""
 
-    epsilon: float = 0.25
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+    def __new__(cls, epsilon=0.25) -> "Quantizer":
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        return tuple.__new__(cls, (epsilon,))
+
+    @classmethod
+    def _make(cls, fields) -> "Quantizer":
+        # ``_replace`` builds through ``_make``; validate there too
+        return cls(*fields)
 
 
 def quantize(x, q: Quantizer = Quantizer(), bound: float = 1.0):
@@ -77,7 +82,7 @@ def _accepts(element, key: str, values) -> bool:
     """Whether ``element`` is valid with each of ``values`` in field ``key``."""
     try:
         for v in values:
-            replace(element, **{key: v})
+            element._replace(**{key: v})
     except ValueError:
         return False
     return True
@@ -132,7 +137,7 @@ class SequenceTemplate:
                 element = self.sequence.elements[k]
                 if not (finite and _accepts(element, key, extremes)):
                     for v in grid:  # raises at the first invalid value
-                        replace(element, **{key: v})
+                        element._replace(**{key: v})
                 yield k, key, values
 
     def _tiles(self, grid_a, grid_b):
@@ -153,7 +158,7 @@ class SequenceTemplate:
             for axis, name, grid, column in ((0, "$A", grid_a, (-1, 1, 1)), (1, "$B", grid_b, (-1, 1)))
             for k, key, v in self._checked(name, grid)
         ]
-        steps = [(type(e), dict(vars(e))) for e in self.sequence.elements]
+        steps = [(type(e), e._asdict()) for e in self.sequence.elements]
         for r in range(0, n, rows):
             for c in range(0, m, cols):
                 tile = slice(r, min(r + rows, n)), slice(c, min(c + cols, m))
@@ -232,15 +237,11 @@ def selective_delay_inputs(
     return template, delays, frequencies
 
 
-@dataclass(frozen=True)
-class ExperimentTable:
+class ExperimentTable(namedtuple("ExperimentTable", "param_a param_b raw logic")):
     """Nine experiments laid out as a logic table: raw readouts and their
     quantization, with row i driven by param_a[i] and column j by param_b[j]."""
 
-    param_a: tuple[float, float, float]
-    param_b: tuple[float, float, float]
-    raw: tuple[tuple[float, float, float], ...]
-    logic: TernaryFunction
+    __slots__ = ()
 
 
 def evaluate_table(
@@ -258,12 +259,10 @@ def evaluate_table(
     return ExperimentTable(a_vals, b_vals, tuple(map(tuple, raw.tolist())), logic)
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    a_values: tuple[float, float, float]
-    b_values: tuple[float, float, float]
-    index: int
-    npn_class: npn.NpnClass
+class SearchHit(namedtuple("SearchHit", "a_values b_values index npn_class")):
+    """The a- and b-value triples of a hit, its function index and its class."""
+
+    __slots__ = ()
 
 
 def _quantized_grid(template: SequenceTemplate, grid_a, grid_b, q: Quantizer) -> np.ndarray:
@@ -328,11 +327,14 @@ def _steps(digits: np.ndarray, cells: int):
         yield b, digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]]
 
 
-def _histograms(codes: np.ndarray) -> np.ndarray:
-    """The (k, 27) histograms of a step's (n, k) row codes, one per b-triple."""
+def _histograms(codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """The (k, 27) histograms of a step's (n, k) row codes, one per b-triple;
+    given float ``weights``, row i counts ``weights[i]`` times (float64)."""
     k = codes.shape[1]
     bins = codes.T + _CODES * np.arange(k)[:, None]
-    return np.bincount(bins.ravel(), minlength=k * _CODES).reshape(k, _CODES)
+    if weights is not None:
+        weights = np.tile(weights, k)
+    return np.bincount(bins.ravel(), weights, minlength=k * _CODES).reshape(k, _CODES)
 
 
 def _target_cells(wanted: np.ndarray) -> np.ndarray:
@@ -368,56 +370,86 @@ def _admitted(codes: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return admitted
 
 
+def _distinct_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the digit grid and how often each occurs, found
+    by a lexsort of the rows and a comparison of neighbours (``np.unique``
+    would load numpy.ma)."""
+    ordered = digits[np.lexsort(digits.T)]
+    first = np.ones(len(ordered), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=len(ordered))
+
+
+def _sorted_cells(rows: np.ndarray, occurs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The function index x + 27y + 729z of each of the 3,654 sorted cells
+    x <= y <= z, and the number of (a-triple, b-triple) pairs of a digit grid
+    of n rows, given as its distinct ``rows`` and how often each ``occurs``,
+    whose a-triple's row codes under the b-triple are {x, y, z}.
+
+    A b-triple whose histogram of row codes is h holds prod C(h_c,
+    multiplicity of c) a-triples with the codes {x, y, z}: h_x*h_y*h_z for
+    x < y < z, C(h_x,2)*h_z or h_x*C(h_y,2) for one repeated code and
+    C(h_x,3) for three.  Equal rows have equal codes under every b-triple,
+    so h is the bincount of the distinct rows' codes weighted by how often
+    each occurs.  A fold over the steps of ``_steps`` with 27*27 cells per
+    b-triple: for each code z, a step adds the z x z corner of the (z, k) @
+    (k, z) product of the histograms with themselves weighted by h_z, whose
+    cells x < y are the strict ones, and it adds 2*C(h,2).T @ h, whose
+    off-diagonal cells are those with one repeated code; 6*C(h,3) is its
+    diagonal less twice the summed 2*C(h,2).  So a step holds its row codes
+    and a few (k, 27) arrays, and each product is small enough for BLAS to
+    run on one thread."""
+    weights = occurs.astype(np.float64)
+    strict = np.zeros((_CODES,) * 3, dtype=np.int64)  # [z, y, x]: h_x*h_y*h_z for x, y < z
+    repeated = np.zeros((_CODES, _CODES), dtype=np.int64)  # [x, z]: 2*C(h_x,2)*h_z
+    pair_sums = np.zeros(_CODES, dtype=np.int64)  # [x]: 2*C(h_x,2)
+    for b, codes in _steps(rows, _CODES * _CODES):
+        h = _histograms(codes, weights)
+        # float64 arithmetic is exact while every product and partial sum is
+        # an integer below 2**53, which k * n**3 bounds; past that int64 is:
+        # a product is at most n**3 and a sum at most 6*C(n,3)*C(m,3) +
+        # n**2*C(m,3), both below 2**63 on a grid of MAX_GRID_POINTS values
+        if len(b) * n**3 >= 2**53:
+            h = h.astype(np.int64)
+        for z in range(2, _CODES):
+            strict[z, :z, :z] += (h[:, :z].T @ (h[:, :z] * h[:, z, None])).astype(np.int64)
+        pairs = h - 1
+        pairs *= h
+        repeated += (pairs.T @ h).astype(np.int64)
+        pair_sums += pairs.sum(axis=0).astype(np.int64)
+        del h, pairs  # before the next step's histograms
+    same = (np.diagonal(repeated) - 2 * pair_sums) // 6
+    repeated //= 2
+    z, y, x = np.indices((_CODES,) * 3, sparse=True)
+    z, y, x = np.nonzero((x <= y) & (y <= z))
+    count = np.select(
+        [x == z, x == y, y == z], [same[x], repeated[x, z], repeated[y, x]], strict[z, y, x]
+    )
+    return x + _CODES * y + _CODES**2 * z, count
+
+
 def _class_counts(digits: np.ndarray) -> dict[int, int]:
     """Canonical index -> number of (a-triple, b-triple) pairs of the digit
     grid whose table lies in that class.
 
-    Permuting a table's rows does not change its class, so for a fixed
-    b-triple the class of an a-triple depends only on its three row codes.
-    A b-triple whose histogram of row codes over the n rows is h contributes
-    h_x*(h_y - [y=x])*(h_z - [z=x] - [z=y]) ordered triples of distinct rows
-    with codes (x, y, z).  Summed over b-triples, that is the triple product
-    of the histograms less pair products on the diagonals plus twice the
-    single counts on the main diagonal.  Each unordered a-triple appears six
-    times in the result, once per row order, all in the same class.
-
-    A fold over the steps of ``_steps`` with 27*27 cells per b-triple: each
-    step of k b-triples adds its triple product slice by slice, the slice of
-    code z being the (27, k) @ (k, 27) product of the histograms with
-    themselves weighted by the count of z.  So a step holds its row codes
-    and a few (k, 27) arrays, never a (k, 27*27) outer product, and each
-    product is small enough for BLAS to run on one thread."""
-    n = len(digits)
-    triple = np.zeros((_CODES,) * 3, dtype=np.int64)
-    pair = np.zeros((_CODES, _CODES), dtype=np.int64)
-    single = np.zeros(_CODES, dtype=np.int64)
-    for b, codes in _steps(digits, _CODES * _CODES):
-        k = len(b)
-        hist = _histograms(codes)
-        # float64 matrix products are exact while every partial sum is an
-        # integer below 2**53, which k * n**3 bounds; past that a step holds
-        # one b-triple (n over 130,343), and n**3 < 2**63 on any grid of at
-        # most MAX_GRID_POINTS values, so int64 products are exact
-        h = hist.astype(np.float64 if k * n**3 < 2**53 else np.int64)
-        step_triple = np.empty((_CODES,) * 3, dtype=h.dtype)
-        for z in range(_CODES):
-            np.matmul(h.T, h * h[:, z : z + 1], out=step_triple[z])
-        triple += step_triple.astype(np.int64)
-        pair += (h.T @ h).astype(np.int64)
-        single += hist.sum(axis=0)
-    diag = np.arange(_CODES)
-    triple[diag, diag, :] -= pair
-    triple[:, diag, diag] -= pair
-    triple[diag, :, diag] -= pair
-    triple[diag, diag, diag] += 2 * single
-    # cell (x, y, z) holds rows with codes x, y, z: function index x + 27y + 729z
-    ordered = triple.transpose(2, 1, 0).ravel()
-    per_class = np.zeros(ordered.size, dtype=np.int64)
-    np.add.at(per_class, np.asarray(npn.canonical_map(3)), ordered)
-    if (per_class % 6).any():
-        raise AssertionError("ordered triple counts are not a multiple of the 6 row orders")
+    The input swap is in the group, so a pair on the grid and the swapped
+    pair on its transpose lie in one class: the count walks the axis with
+    fewer triples as b, transposing the grid when it is wider than tall.
+    Permuting a table's rows does not change its class either, so the pairs
+    are counted per sorted cell of row codes (``_sorted_cells``) over the
+    distinct rows, and each cell is added into the class of its function
+    index.  The class totals must sum to C(n,3)*C(m,3)."""
+    if digits.shape[1] > digits.shape[0]:
+        digits = digits.T
+    n, m = digits.shape
+    index, count = _sorted_cells(*_distinct_rows(digits), n)
+    per_class = np.zeros(_CODES**3, dtype=np.int64)
+    np.add.at(per_class, np.asarray(npn.canonical_map(3))[index], count)
+    if int(per_class.sum()) != math.comb(n, 3) * math.comb(m, 3):
+        raise AssertionError("class totals do not sum to the number of triple pairs")
     hit = np.flatnonzero(per_class)
-    return dict(zip(hit.tolist(), (per_class[hit] // 6).tolist()))
+    return dict(zip(hit.tolist(), per_class[hit].tolist()))
 
 
 def hit_rows(
@@ -519,8 +551,9 @@ def achievable_classes(
     """Canonical index -> number of triple pairs realizing that class, over
     every ascending triple choice from the grids.
 
-    Counted from row-code histograms (see ``_class_counts``) rather than
-    pair by pair: the cost is about O(C(m,3) * (n + 27**3)) for n values of
-    $A and m of $B, instead of O(C(n,3) * C(m,3)), and each step's working
-    memory is bounded by STEP_CELLS, whatever the grid size."""
+    Counted from row-code histograms over the distinct rows (see
+    ``_class_counts``) rather than pair by pair: for m the grid's shorter
+    axis and d the distinct rows along the longer one, the cost is about
+    O(C(m,3) * (d + 27**3/3)) instead of O(C(n,3) * C(m,3)), and each step's
+    working memory is bounded by STEP_CELLS, whatever the grid size."""
     return _class_counts(_quantized_grid(template, grid_a, grid_b, q))

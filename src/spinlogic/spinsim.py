@@ -28,7 +28,7 @@ reports the placeholder slots of a template; nothing serializes them back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from typing import Union
 
 import numpy as np
@@ -53,8 +53,7 @@ def _check_finite(name: str, x: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class Magnetization:
+class Magnetization(namedtuple("Magnetization", "mx my mz")):
     """Per-peak magnetization vector in units of equilibrium magnetization.
 
     Rotations preserve the norm and t1-free delays preserve mz and the
@@ -62,15 +61,21 @@ class Magnetization:
     transiently above 1 when transverse magnetization persists through a
     recovery delay (no T2 decay counteracts it), by at most 1 in the squared
     norm per delay.
+
+    Like every value of the spin layer, a named tuple whose constructor
+    checks its fields (and so does ``_replace``): ``m`` equals the plain
+    tuple ``(mx, my, mz)``.
     """
 
-    mx: float
-    my: float
-    mz: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("mx", "my", "mz"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
+    def __new__(cls, mx, my, mz) -> "Magnetization":
+        return tuple.__new__(cls, map(_check_finite, cls._fields, (mx, my, mz)))
+
+    @classmethod
+    def _make(cls, fields) -> "Magnetization":
+        # ``_replace`` builds through ``_make``; validate there too
+        return cls(*fields)
 
     def norm(self) -> float:
         return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
@@ -79,89 +84,99 @@ class Magnetization:
 EQUILIBRIUM = Magnetization(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Peak:
+class Peak(namedtuple("Peak", "label offset m t1")):
     """A spectral line: offset from the transmitter in rad/s, its current
     magnetization, and an optional longitudinal relaxation time."""
 
-    label: str
-    offset: float
-    m: Magnetization = EQUILIBRIUM
-    t1: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offset", _check_finite("offset", self.offset))
-        if self.t1 is not None:
-            t1 = _check_finite("t1", self.t1)
+    def __new__(cls, label, offset, m=EQUILIBRIUM, t1=None) -> "Peak":
+        offset = _check_finite("offset", offset)
+        if t1 is not None:
+            t1 = _check_finite("t1", t1)
             if t1 <= 0:
                 raise ValueError(f"t1 must be positive, got {t1}")
-            object.__setattr__(self, "t1", t1)
+        return tuple.__new__(cls, (label, offset, m, t1))
+
+    @classmethod
+    def _make(cls, fields) -> "Peak":
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class SpinSystem:
-    peaks: tuple[Peak, ...]
+class SpinSystem(namedtuple("SpinSystem", "peaks")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        peaks = tuple(self.peaks)
+    def __new__(cls, peaks) -> "SpinSystem":
+        peaks = tuple(peaks)
         if not peaks:
             raise ValueError("spin system needs at least one peak")
         labels = [p.label for p in peaks]
         if len(set(labels)) != len(labels):
             raise ValueError(f"peak labels must be unique, got {labels}")
-        object.__setattr__(self, "peaks", peaks)
+        return tuple.__new__(cls, (peaks,))
+
+    @classmethod
+    def _make(cls, fields) -> "SpinSystem":
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class HardPulse:
+class HardPulse(namedtuple("HardPulse", "beta phi")):
     """Non-selective rotation: flip angle beta about axis at phase phi."""
 
-    beta: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _check_finite("beta", self.beta))
-        object.__setattr__(self, "phi", _check_finite("phi", self.phi))
+    def __new__(cls, beta, phi) -> "HardPulse":
+        return tuple.__new__(cls, (_check_finite("beta", beta), _check_finite("phi", phi)))
+
+    @classmethod
+    def _make(cls, fields) -> "HardPulse":
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class SelectivePulse:
+class SelectivePulse(namedtuple("SelectivePulse", "beta phi target_offset tolerance")):
     """Rotation applied only to peaks with |offset - target_offset| < tolerance."""
 
-    beta: float
-    phi: float
-    target_offset: float
-    tolerance: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("beta", "phi", "target_offset", "tolerance"):
-            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+    def __new__(cls, beta, phi, target_offset, tolerance) -> "SelectivePulse":
+        pulse = tuple.__new__(cls, map(_check_finite, cls._fields, (beta, phi, target_offset, tolerance)))
+        if pulse.tolerance <= 0:
+            raise ValueError(f"tolerance must be positive, got {pulse.tolerance}")
+        return pulse
+
+    @classmethod
+    def _make(cls, fields) -> "SelectivePulse":
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Delay:
+class Delay(namedtuple("Delay", "tau")):
     """Free precession for tau seconds, with T1 recovery where configured."""
 
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        tau = _check_finite("tau", self.tau)
+    def __new__(cls, tau) -> "Delay":
+        tau = _check_finite("tau", tau)
         if tau < 0:
             raise ValueError(f"delay must be nonnegative, got {tau}")
-        object.__setattr__(self, "tau", tau)
+        return tuple.__new__(cls, (tau,))
+
+    @classmethod
+    def _make(cls, fields) -> "Delay":
+        return cls(*fields)
 
 
 SequenceElement = Union[HardPulse, SelectivePulse, Delay]
 
 
-@dataclass(frozen=True)
-class PulseSequence:
-    elements: tuple[SequenceElement, ...]
+class PulseSequence(namedtuple("PulseSequence", "elements")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __new__(cls, elements) -> "PulseSequence":
+        return tuple.__new__(cls, (tuple(elements),))
+
+    @classmethod
+    def _make(cls, fields) -> "PulseSequence":
+        return cls(*fields)
 
 
 def _rotate(x, y, z, beta, phi, window=()):
@@ -281,10 +296,8 @@ def run_sequence(s: SpinSystem, seq: PulseSequence) -> SpinSystem:
     """Apply the sequence starting from equilibrium: the relaxation delay
     preceding every real experiment is modeled as an exact reset of every
     peak to (0, 0, 1)."""
-    x, y, z = run_steps(s, [(type(e), vars(e)) for e in seq.elements])
-    return SpinSystem(
-        tuple(replace(p, m=Magnetization(*m)) for p, m in zip(s.peaks, zip(x, y, z)))
-    )
+    x, y, z = run_steps(s, [(type(e), e._asdict()) for e in seq.elements])
+    return SpinSystem(tuple(p._replace(m=Magnetization(*m)) for p, m in zip(s.peaks, zip(x, y, z))))
 
 
 def read_mx(s: SpinSystem) -> float:
@@ -334,10 +347,8 @@ def _number(doc: dict, key: str, where: str) -> float:
 
 
 ELEMENT_TYPES = {"hard_pulse": HardPulse, "selective_pulse": SelectivePulse, "delay": Delay}
-# an element's document fields are its type and its dataclass fields
-ELEMENT_FIELDS = {
-    kind: ("type", *(f.name for f in fields(cls))) for kind, cls in ELEMENT_TYPES.items()
-}
+# an element's document fields are its type and its named-tuple fields
+ELEMENT_FIELDS = {kind: ("type", *cls._fields) for kind, cls in ELEMENT_TYPES.items()}
 
 
 def _objects(doc: dict, key: str) -> list:

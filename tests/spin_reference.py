@@ -7,7 +7,6 @@ for bit where the arithmetic is the same, and check the formulas on states
 other than equilibrium through it."""
 
 import math
-from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -72,7 +71,7 @@ def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
 def apply_hard_pulse(s: SpinSystem, beta: float, phi: float) -> SpinSystem:
     """Rotate every peak; pulses are instantaneous (no precession during)."""
     return SpinSystem(
-        tuple(replace(p, m=Magnetization(*rotate(*astuple(p.m), beta, phi))) for p in s.peaks)
+        tuple(p._replace(m=Magnetization(*rotate(*p.m, beta, phi))) for p in s.peaks)
     )
 
 
@@ -91,7 +90,7 @@ def apply_delay(s: SpinSystem, tau: float) -> SpinSystem:
     tau = Delay(tau).tau
     return SpinSystem(
         tuple(
-            replace(p, m=Magnetization(*evolve(*astuple(p.m), p.offset, tau, p.t1 or math.inf)))
+            p._replace(m=Magnetization(*evolve(*p.m, p.offset, tau, p.t1 or math.inf)))
             for p in s.peaks
         )
     )
@@ -109,4 +108,4 @@ def apply_element(s: SpinSystem, e: SequenceElement) -> SpinSystem:
 
 
 def at_equilibrium(s: SpinSystem) -> SpinSystem:
-    return SpinSystem(tuple(replace(p, m=EQUILIBRIUM) for p in s.peaks))
+    return SpinSystem(tuple(p._replace(m=EQUILIBRIUM) for p in s.peaks))

@@ -674,11 +674,13 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
 
 def test_classify_and_hit_search_do_not_import_numpy_ma():
     # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports
-    # it.  Each command also loads only the layers it uses: classify and a
-    # usage error load no numpy at all, and classify no dataclasses (with
-    # the inspect module they import, about 12 ms).
+    # it, so the class count finds its distinct rows by a sort.  Each command
+    # also loads only the layers it uses: classify and a usage error load no
+    # numpy at all, classify no inspect, and no command dataclasses (each
+    # dataclass took about 1 ms to build at import).
     grid = "lin:0:6.283185307179586:8"
     layers = ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]
+    numpy_commands = ["numpy.ma", "dataclasses", "spinlogic.complexlogic", "spinlogic.pc"]
     commands = [
         (["classify", "--radix", "3"], 0, ["numpy", "dataclasses", "inspect", *layers]),
         (["search"], 2, ["numpy", *layers, "spinlogic.pc"]),
@@ -686,8 +688,11 @@ def test_classify_and_hit_search_do_not_import_numpy_ma():
             ["search", "--sequence", "single-pulse", "--grid-a", grid, "--grid-b", grid,
              "--target", "multiplication"],
             0,
-            ["numpy.ma", "spinlogic.complexlogic", "spinlogic.pc"],
+            numpy_commands,
         ),
+        (["search", "--sequence", "two-pulse", "--grid-a", grid, "--grid-b", grid, "--target", "all"],
+         0, numpy_commands),
+        (["simulate", "--sequence", "selective-delay", "--grid-a", grid, "--grid-b", grid], 0, numpy_commands),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
     for argv, code, unused in commands:

@@ -319,7 +319,7 @@ def test_document_fields_match_the_schema():
     }
     _, sequence, _ = document_from_dict(doc)
     for entry, element in zip(doc["sequence"], sequence.elements):
-        assert set(entry) == set(spinsim.ELEMENT_FIELDS[entry["type"]]) == {"type", *vars(element)}
+        assert set(entry) == set(spinsim.ELEMENT_FIELDS[entry["type"]]) == {"type", *element._asdict()}
     doc["sequence"][1]["bogus"] = 1
     with pytest.raises(ValueError, match="delay has unknown field"):
         document_from_dict(doc)
