@@ -26,17 +26,16 @@ RAW_SLACK = 1e-9
 
 # Cells per step of every grid walk, which sizes its step from the grid shape:
 # point-peaks of a readout tile, whole rows or, when one row alone is over
-# budget, part of a row; per b-triple, distinct a-rows plus 27*27 cells of the
-# class count, which keep each of its corner products within this many
-# multiply-adds; or a-values plus at most 27*27 a-triples of the hit search,
-# whose a-triple blocks also hold at most this many pairs of uint16 function
-# indices, and whose prune holds at most this many histogram entries and
-# tested cells at a time.  A readout tile peaks at 6.5 to 18 MB of float64
-# arrays, 25 to 68 bytes per point-peak (tracemalloc): 25 to 33 on the
-# built-in templates, 53 on a 3-peak and 68 on a 300-peak T1 template, whose
-# walk holds the last tile's x and z while it simulates the next; a
-# class-count or hit-search step peaks at a few MB (2.4 MB on 7 a-values,
-# where a prune block holds a whole step of 6,241 b-triples).
+# budget, part of a row; per b-triple, rows plus 27*27 cells, which keep each
+# corner product of the class count within this many multiply-adds; pairs of
+# uint16 function indices per a-triple block of the hit search, histogram
+# entries and tested cells per prune block.  A readout tile peaks at 6.5 to
+# 18 MB of float64 arrays, 25 to 68 bytes per point-peak (tracemalloc): 25 to
+# 33 on the built-in templates, 53 on a 3-peak and 68 on a 300-peak T1
+# template, whose walk holds the last tile's x and z while it simulates the
+# next; a class-count or hit-search step peaks at a few MB (284 KB on a 14x14
+# grid against the constant class, whose steps of 352 b-triples are the
+# largest a hit search takes, each in one prune block).
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -310,20 +309,27 @@ def _triples(n: int, size: int):
         yield chunk
 
 
-def _steps(digits: np.ndarray, cells: int):
-    """The one walk over the b-triples of the digit grid, which the class
-    count and the hit search each fold: (b, codes) per step, ``b`` a (k, 3)
-    chunk of b-triples in lexicographic order and ``codes`` the (n, k) row
-    codes (0..26) of all n grid rows under them, the digits at each
+def _walked(digits: np.ndarray) -> np.ndarray:
+    """The digit grid as both folds walk it, with the axis of fewer triples
+    as b: a pair and the swapped pair on the transpose lie in one class (the
+    input swap is in the group), so a wider than tall grid is transposed."""
+    return digits.T if digits.shape[1] > digits.shape[0] else digits
+
+
+def _steps(digits: np.ndarray):
+    """The one walk over the b-triples of a digit grid of n rows, which the
+    class count and the hit search each fold: (b, codes) per step, ``b`` a
+    (k, 3) chunk of b-triples in lexicographic order and ``codes`` the (n,
+    k) row codes (0..26) of all n rows under them, the digits at each
     triple's three columns read as a little-endian base-3 number.  The table
     of a-triple (i, j, k) and b-triple l has function index
     ``codes[i, l] + 27*codes[j, l] + 729*codes[k, l]``.
 
-    A step takes k = STEP_CELLS // (n + cells) b-triples, at least one, for
-    a fold that works on ``cells`` cells per b-triple besides its n row
+    A step takes k = STEP_CELLS // (n + 27*27) b-triples, at least one, for
+    a fold that works on at most 27*27 cells per b-triple besides its n row
     codes, so a step stays within STEP_CELLS cells whatever the grid size,
     and each b-triple is made once."""
-    for b in _triples(digits.shape[1], max(1, STEP_CELLS // (len(digits) + cells))):
+    for b in _triples(digits.shape[1], max(1, STEP_CELLS // (len(digits) + _CODES * _CODES))):
         yield b, digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]]
 
 
@@ -392,19 +398,18 @@ def _sorted_cells(rows: np.ndarray, occurs: np.ndarray, n: int) -> tuple[np.ndar
     x < y < z, C(h_x,2)*h_z or h_x*C(h_y,2) for one repeated code and
     C(h_x,3) for three.  Equal rows have equal codes under every b-triple,
     so h is the bincount of the distinct rows' codes weighted by how often
-    each occurs.  A fold over the steps of ``_steps`` with 27*27 cells per
-    b-triple: for each code z, a step adds the z x z corner of the (z, k) @
-    (k, z) product of the histograms with themselves weighted by h_z, whose
-    cells x < y are the strict ones, and it adds 2*C(h,2).T @ h, whose
-    off-diagonal cells are those with one repeated code; 6*C(h,3) is its
-    diagonal less twice the summed 2*C(h,2).  So a step holds its row codes
-    and a few (k, 27) arrays, and each product is small enough for BLAS to
-    run on one thread."""
+    each occurs.  A fold over the steps of ``_steps``: for each code z, a
+    step adds the z x z corner of the (z, k) @ (k, z) product of the
+    histograms with themselves weighted by h_z, whose cells x < y are the
+    strict ones, and it adds 2*C(h,2).T @ h, whose off-diagonal cells are
+    those with one repeated code; 6*C(h,3) is its diagonal less twice the
+    summed 2*C(h,2).  So a step holds its row codes and a few (k, 27)
+    arrays, and each product is small enough for BLAS to run on one thread."""
     weights = occurs.astype(np.float64)
     strict = np.zeros((_CODES,) * 3, dtype=np.int64)  # [z, y, x]: h_x*h_y*h_z for x, y < z
     repeated = np.zeros((_CODES, _CODES), dtype=np.int64)  # [x, z]: 2*C(h_x,2)*h_z
     pair_sums = np.zeros(_CODES, dtype=np.int64)  # [x]: 2*C(h_x,2)
-    for b, codes in _steps(rows, _CODES * _CODES):
+    for b, codes in _steps(rows):
         h = _histograms(codes, weights)
         # float64 arithmetic is exact while every product and partial sum is
         # an integer below 2**53, which k * n**3 bounds; past that int64 is:
@@ -433,15 +438,12 @@ def _class_counts(digits: np.ndarray) -> dict[int, int]:
     """Canonical index -> number of (a-triple, b-triple) pairs of the digit
     grid whose table lies in that class.
 
-    The input swap is in the group, so a pair on the grid and the swapped
-    pair on its transpose lie in one class: the count walks the axis with
-    fewer triples as b, transposing the grid when it is wider than tall.
-    Permuting a table's rows does not change its class either, so the pairs
-    are counted per sorted cell of row codes (``_sorted_cells``) over the
-    distinct rows, and each cell is added into the class of its function
-    index.  The class totals must sum to C(n,3)*C(m,3)."""
-    if digits.shape[1] > digits.shape[0]:
-        digits = digits.T
+    The grid is walked as ``_walked`` orients it.  Permuting a table's rows
+    does not change its class, so the pairs are counted per sorted cell of
+    row codes (``_sorted_cells``) over the distinct rows, and each cell is
+    added into the class of its function index.  The class totals must sum
+    to C(n,3)*C(m,3)."""
+    digits = _walked(digits)
     n, m = digits.shape
     index, count = _sorted_cells(*_distinct_rows(digits), n)
     per_class = np.zeros(_CODES**3, dtype=np.int64)
@@ -466,36 +468,29 @@ def hit_rows(
     its canonical representative first.  An empty result is a valid answer
     (the template cannot realize the targets on these grids).
 
-    A fold over the steps of ``_steps`` with min(C(n,3), 27*27) cells per
-    b-triple, the width capped so that a grid of few a-values still takes
-    large steps.  Where scoring a b-triple costs more than testing it, a
-    step first drops each b-triple whose row-code histogram admits no
-    target cell (``_admitted``), since it holds no hit, so a grid whose
-    b-triples admit no target scores no a-triple.  The a-triples are scored
-    against the kept b-triples' row codes in blocks of STEP_CELLS // (kept
-    b-triples), whose uint16 function indices are built in place.  So the
-    working memory is bounded by STEP_CELLS cells plus the rows, which are
-    sorted into triple order at the end.  Past MAX_GRID_POINTS kept rows the
-    walk stops, drops them and raises a ValueError that names the exact
-    number of hits, counted by one ``_class_counts`` walk for all target
-    classes."""
+    A fold over the steps of ``_steps`` on the grid as ``_walked`` orients
+    it.  Each step first drops the b-triples whose row-code histogram admits
+    no target cell (``_admitted``), since they hold no hit, and scores the
+    a-triples against the kept b-triples' row codes in blocks of
+    STEP_CELLS // (kept b-triples), whose uint16 function indices are built
+    in place.  So the working memory is bounded by STEP_CELLS cells plus the
+    rows.  A transposed walk's rows are mapped back at the end, their triples
+    swapped and their index transposed, and all rows are sorted into triple
+    order.  Past MAX_GRID_POINTS kept rows the walk stops, drops them and
+    raises a ValueError that names the exact number of hits, counted by one
+    ``_class_counts`` walk for all target classes."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
-    n = len(digits)
+    walked = _walked(digits)
     cells = _target_cells(wanted)
-    # per b-triple the prune holds 27 + m entries (histogram and m target
-    # cells), the scoring C(n,3) function indices
-    prune = math.comb(n, 3) > _CODES + cells.shape[1]
     found, kept = [np.empty((0, 7), dtype=np.int32)], 0
-    for b, codes in _steps(digits, min(math.comb(n, 3), _CODES * _CODES)):
-        if prune:
-            admitted = _admitted(codes, cells)
-            b, codes = b[admitted], codes[:, admitted]
-            if not len(b):
-                continue
-        codes = codes.astype(np.uint16)
-        for a in _triples(n, max(1, STEP_CELLS // len(b))):
+    for b, codes in _steps(walked):
+        admitted = _admitted(codes, cells)
+        if not admitted.any():
+            continue
+        b, codes = b[admitted], codes[:, admitted].astype(np.uint16)
+        for a in _triples(len(walked), max(1, STEP_CELLS // len(b))):
             # code_i + 27*code_j + 729*code_k, by Horner's rule
             index = codes[a[:, 2]]
             index *= _CODES
@@ -514,6 +509,11 @@ def hit_rows(
                     f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}"
                 )
     found = np.concatenate(found)
+    if walked is not digits:  # swap the triples back and transpose each table:
+        # digit 3*row + column of a function index moves to 3*column + row
+        swap = np.arange(_CODES**3).reshape((3,) * 9).transpose(0, 3, 6, 1, 4, 7, 2, 5, 8)
+        found = found[:, [3, 4, 5, 0, 1, 2, 6]]
+        found[:, 6] = swap.flat[found[:, 6]]
     # distinct (a-triple, b-triple) index tuples: their order is the triple order
     return found[np.lexsort(found[:, 5::-1].T)]
 

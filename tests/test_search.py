@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -305,6 +306,50 @@ def test_class_counts_walk_the_axis_with_fewer_triples(monkeypatch):
     assert made == [4, 4]
 
 
+def test_hit_search_walks_the_axis_with_fewer_triples(monkeypatch):
+    made = []
+    triples = search._triples
+
+    def counting_triples(n, size):
+        for chunk in triples(n, size):
+            made.append((n, len(chunk)))
+            yield chunk
+
+    digits = np.random.default_rng(3).integers(0, 3, size=(4, 60), dtype=np.uint8)
+    targets = set(sorted(search._class_counts(digits))[:3])
+    monkeypatch.setattr(search, "_triples", counting_triples)
+    monkeypatch.setattr(search, "_quantized_grid", lambda *args: digits)
+    rows = search.hit_rows(None, None, None, targets=targets)
+    # the b-triples are the C(4,3) of the 4 rows, the a-triples those of the 60 columns
+    assert made[0] == (4, 4)
+    assert {n for n, _ in made[1:]} == {60}
+    assert len(rows) == sum(search._class_counts(digits)[c] for c in targets)
+
+
+@functools.lru_cache(maxsize=None)
+def _transposed_indices():
+    """The function index of each table's transpose."""
+    return np.array([npn._transpose(i) for i in range(3**9)], dtype=np.int32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
+def test_hit_rows_of_a_grid_are_those_of_its_transpose_swapped(digits, step_cells, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "STEP_CELLS", step_cells)
+        counts = search._class_counts(digits)
+        some = st.one_of(st.sampled_from(sorted(counts)), st.integers(0, 3**9 - 1))
+        targets = data.draw(st.sets(some, min_size=1, max_size=4))
+        mp.setattr(search, "_quantized_grid", lambda *args: digits)
+        rows = search.hit_rows(None, None, None, targets=targets)
+        mp.setattr(search, "_quantized_grid", lambda *args: digits.T)
+        swapped = search.hit_rows(None, None, None, targets=targets)
+    back = swapped[:, [3, 4, 5, 0, 1, 2, 6]]
+    back[:, 6] = _transposed_indices()[back[:, 6]]
+    assert rows.dtype == swapped.dtype == np.int32
+    assert np.array_equal(rows, back[np.lexsort(back[:, 5::-1].T)])
+
+
 @pytest.mark.parametrize("step_cells", [1, 7, 200, 1 << 18])
 def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
@@ -377,7 +422,7 @@ def test_the_prune_keeps_exactly_the_b_triples_that_hold_a_hit(digits, step_cell
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "STEP_CELLS", step_cells)
         admitted = np.concatenate(
-            [search._admitted(codes, cells) for _, codes in search._steps(digits, 27 * 27)]
+            [search._admitted(codes, cells) for _, codes in search._steps(digits)]
         )
     assert np.array_equal(admitted, np.isin(canon[_table_indices(digits)], list(classes)).any(axis=0))
 
@@ -415,18 +460,21 @@ def test_prune_working_memory():
     finally:
         tracemalloc.stop()
     assert admitted.all() and peak < 1e6
-    # 7 rows, the fewest that prune against the constant class's cells: steps
-    # of 6,241 b-triples, a prune block each
-    grid_a = [2 * math.pi * k / 6 for k in range(7)]
-    grid_b = [2 * math.pi * k / 59 for k in range(60)]
-    assert search._target_cells(np.isin(npn.canonical_map(3), [0])).shape[1] < math.comb(7, 3) - 27
+    # a walk of n >= m rows takes min(C(m,3), STEP_CELLS // (n + 27*27))
+    # b-triples per step, at most 352, as on this 14x14 grid: against the
+    # constant class's cells one prune block holds the whole step, and the
+    # 492 hits traced 284 KB
+    grid = [2 * math.pi * k / 13 for k in range(14)]
+    assert math.comb(13, 3) < search.STEP_CELLS // (14 + 27 * 27) == 352 < math.comb(14, 3)
+    cells = search._target_cells(np.isin(npn.canonical_map(3), [0]))
+    assert search.STEP_CELLS // (27 + cells.shape[1]) > 352
     tracemalloc.start()
     try:
-        rows = search.hit_rows(two_pulse_template(), grid_a, grid_b, targets={0})
+        rows = search.hit_rows(two_pulse_template(), grid, grid, targets={0})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 5840 and peak < 3e6
+    assert len(rows) == 492 and peak < 1e6
 
 
 @pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
