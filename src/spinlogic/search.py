@@ -27,15 +27,17 @@ RAW_SLACK = 1e-9
 # Cells per step of every grid walk, which sizes its step from the grid shape:
 # point-peaks of a readout tile, whole rows or, when one row alone is over
 # budget, part of a row; per b-triple, rows plus 27*27 cells, which keep each
-# corner product of the class count within this many multiply-adds; pairs of
-# uint16 function indices per a-triple block of the hit search, histogram
-# entries and tested cells per prune block.  A readout tile peaks at 6.5 to
-# 18 MB of float64 arrays, 25 to 68 bytes per point-peak (tracemalloc): 25 to
-# 33 on the built-in templates, 53 on a 3-peak and 68 on a 300-peak T1
-# template, whose walk holds the last tile's x and z while it simulates the
-# next; a class-count or hit-search step peaks at a few MB (284 KB on a 14x14
+# corner product of the class count within this many multiply-adds;
+# (b-triple, target cell) counts per hit-search block and ranks per chunk of
+# its expansion.  A readout tile peaks at 6.5 to 22 MB of float64 arrays
+# (tracemalloc).  Per point-peak, the built-in templates take 25 to 33 bytes
+# when a tile holds several rows and 73 to 84 on one-row tiles (21 MB on a
+# 4x250000 single-pulse grid); a 3-peak T1 template takes 53 and a 300-peak
+# one 68, as its walk holds the last tile's x and z while it simulates the
+# next.  A class-count or hit-search step peaks at a few MB: 6.5 MB for the
+# counts of a 30x30 grid against all 3,654 target cells, 409 KB on a 14x14
 # grid against the constant class, whose steps of 352 b-triples are the
-# largest a hit search takes, each in one prune block).
+# largest a hit search takes.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -343,37 +345,14 @@ def _histograms(codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
     return np.bincount(bins.ravel(), weights, minlength=k * _CODES).reshape(k, _CODES)
 
 
-def _target_cells(wanted: np.ndarray) -> np.ndarray:
-    """The target cells of the wanted function indices x + 27y + 729z with
-    x <= y <= z, as a (3, m) array of columns of ``_admitted``'s table: x,
-    y + 27*[y=x] and z + 27*([z=x] + [z=y]), that is, each code with the
-    number of rows it needs before it.  A table's rows can be put in any
-    order within its class, so these cells stand for all of them."""
+def _target_cells(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row codes x <= y <= z of the wanted function indices x + 27y +
+    729z, as three arrays.  A table's rows can be put in any order within
+    its class, so these sorted cells stand for all of them."""
     index = np.flatnonzero(wanted)
     x, y, z = index % _CODES, index // _CODES % _CODES, index // _CODES**2
     ordered = (x <= y) & (y <= z)
-    x, y, z = x[ordered], y[ordered], z[ordered]
-    return np.stack([x, y + _CODES * (y == x), z + _CODES * (z == x) + _CODES * (z == y)])
-
-
-def _admitted(codes: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Whether each b-triple of a step's (n, k) row codes holds three
-    distinct rows with the codes (x, y, z) of some target cell, that is,
-    whether its row-code histogram h has h_x*(h_y - [y=x])*(h_z - [z=x] -
-    [z=y]) > 0.  Tested on the table h > r of code + 27r for r = 0, 1, 2,
-    in blocks of b-triples that hold at most STEP_CELLS histogram entries
-    and tested cells together."""
-    k = codes.shape[1]
-    admitted = np.empty(k, dtype=bool)
-    size = max(1, STEP_CELLS // (_CODES + cells.shape[1]))
-    for low in range(0, k, size):
-        hist = _histograms(codes[:, low : low + size])
-        table = (hist[:, None, :] > np.arange(3)[:, None]).reshape(len(hist), 3 * _CODES)
-        holds = table[:, cells[0]]
-        holds &= table[:, cells[1]]
-        holds &= table[:, cells[2]]
-        holds.any(axis=1, out=admitted[low : low + size])
-    return admitted
+    return x[ordered], y[ordered], z[ordered]
 
 
 def _distinct_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,45 +448,65 @@ def hit_rows(
     (the template cannot realize the targets on these grids).
 
     A fold over the steps of ``_steps`` on the grid as ``_walked`` orients
-    it.  Each step first drops the b-triples whose row-code histogram admits
-    no target cell (``_admitted``), since they hold no hit, and scores the
-    a-triples against the kept b-triples' row codes in blocks of
-    STEP_CELLS // (kept b-triples), whose uint16 function indices are built
-    in place.  So the working memory is bounded by STEP_CELLS cells plus the
-    rows.  A transposed walk's rows are mapped back at the end, their triples
-    swapped and their index transposed, and all rows are sorted into triple
-    order.  Past MAX_GRID_POINTS kept rows the walk stops, drops them and
-    raises a ValueError that names the exact number of hits, counted by one
-    ``_class_counts`` walk for all target classes."""
+    it, in blocks of STEP_CELLS // (target cells) b-triples.  Rows with
+    equal codes under a b-triple are interchangeable, so its row-code
+    histogram h fixes its hits: a target cell x <= y <= z has
+    h_x*(h_y - [y=x])*(h_z - [z=x] - [z=y]) ordered picks of distinct rows,
+    one from each code's bucket.  A block counts the picks of every
+    (b-triple, cell) and expands only the nonzero ones, as one rank space
+    walked in chunks of STEP_CELLS ranks: ``searchsorted`` over the
+    cumulative picks finds a rank's (b-triple, cell), and mixed radix its
+    picks, as offsets into the rows stably sorted by code, where bucket v
+    starts at cumsum(h) - h.  A pick is kept only if its positions ascend,
+    so each a-triple comes once where codes repeat.  A transposed walk's
+    rows are mapped back at the end, their triples swapped and their index
+    transposed, and all rows are sorted into triple order.  Once the hits
+    counted so far pass MAX_GRID_POINTS the walk stops, before expanding
+    them, drops its rows and raises a ValueError that names the exact number
+    of hits, counted by one ``_class_counts`` walk for all target classes."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
     walked = _walked(digits)
-    cells = _target_cells(wanted)
+    x, y, z = cells = np.stack(_target_cells(wanted))
+    skip = np.array([0 * x, y == x, (z == x) * 1 + (z == y)])  # rows an equal code took before
+    size = max(1, STEP_CELLS // max(1, len(x)))
     found, kept = [np.empty((0, 7), dtype=np.int32)], 0
-    for b, codes in _steps(walked):
-        admitted = _admitted(codes, cells)
-        if not admitted.any():
-            continue
-        b, codes = b[admitted], codes[:, admitted].astype(np.uint16)
-        for a in _triples(len(walked), max(1, STEP_CELLS // len(b))):
-            # code_i + 27*code_j + 729*code_k, by Horner's rule
-            index = codes[a[:, 2]]
-            index *= _CODES
-            index += codes[a[:, 1]]
-            index *= _CODES
-            index += codes[a[:, 0]]
-            k, l = np.nonzero(wanted[index])
-            rows = np.empty((len(k), 7), dtype=np.int32)
-            rows[:, :3], rows[:, 3:6], rows[:, 6] = a[k], b[l], index[k, l]
-            found.append(rows)
-            kept += len(rows)
+    for step_b, step_codes in _steps(walked):
+        for low in range(0, len(step_b), size):
+            b, codes = step_b[low : low + size], step_codes[:, low : low + size]
+            h = _histograms(codes)
+            picks = h[:, x] * (h[:, y] - skip[1]) * (h[:, z] - skip[2])
+            l, cell = np.nonzero(picks)
+            if not len(l):
+                continue
+            picks = picks[l, cell]
+            kept += int((picks // np.prod(1 + skip[:, cell], axis=0)).sum())
             if kept > MAX_GRID_POINTS:
                 found.clear()
                 total = sum(count for c, count in _class_counts(digits).items() if c in classes)
                 raise ValueError(
                     f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}"
                 )
+            # each pair's picks in mixed radix, and their offsets into its sorted rows
+            radix = h[l, cells[:, cell]] - skip[:, cell]
+            offset = (np.cumsum(h, axis=1) - h)[l, cells[:, cell]] + skip[:, cell]
+            order, ends = np.argsort(codes, axis=0, kind="stable"), np.cumsum(picks)
+            for start in range(0, ends[-1], STEP_CELLS):
+                rank = np.arange(start, min(start + STEP_CELLS, ends[-1]))
+                pair = ends.searchsorted(rank, "right")
+                rank -= ends[pair] - picks[pair]  # the rank within its (b-triple, cell)
+                pos = np.empty((3, len(rank)), dtype=np.intp)
+                rank, pos[2] = np.divmod(rank, radix[2, pair])
+                pos[0], pos[1] = np.divmod(rank, radix[1, pair])
+                pos += offset.take(pair, axis=1)  # sorted positions of the picked rows
+                keep = (pos[0] < pos[1]) & (pos[1] < pos[2])
+                col = l[pair[keep]]
+                a = np.sort(order[pos[:, keep], col].T, axis=1)
+                rows = np.empty((len(a), 7), dtype=np.int32)
+                rows[:, :3], rows[:, 3:6] = a, b[col]
+                rows[:, 6] = codes[a, col[:, None]] @ _CODES ** np.arange(3)
+                found.append(rows)
     found = np.concatenate(found)
     if walked is not digits:  # swap the triples back and transpose each table:
         # digit 3*row + column of a function index moves to 3*column + row

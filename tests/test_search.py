@@ -320,9 +320,8 @@ def test_hit_search_walks_the_axis_with_fewer_triples(monkeypatch):
     monkeypatch.setattr(search, "_triples", counting_triples)
     monkeypatch.setattr(search, "_quantized_grid", lambda *args: digits)
     rows = search.hit_rows(None, None, None, targets=targets)
-    # the b-triples are the C(4,3) of the 4 rows, the a-triples those of the 60 columns
-    assert made[0] == (4, 4)
-    assert {n for n, _ in made[1:]} == {60}
+    # the b-triples are the C(4,3) of the 4 rows, and no a-triple is made
+    assert made == [(4, 4)]
     assert len(rows) == sum(search._class_counts(digits)[c] for c in targets)
 
 
@@ -413,20 +412,6 @@ def test_hits_per_class_equal_the_class_counts(digits, step_cells, data):
     assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
-def test_the_prune_keeps_exactly_the_b_triples_that_hold_a_hit(digits, step_cells, data):
-    classes = data.draw(st.sets(st.sampled_from(sorted(set(npn.canonical_map(3)))), max_size=4))
-    canon = np.asarray(npn.canonical_map(3))
-    cells = search._target_cells(np.isin(canon, list(classes)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "STEP_CELLS", step_cells)
-        admitted = np.concatenate(
-            [search._admitted(codes, cells) for _, codes in search._steps(digits)]
-        )
-    assert np.array_equal(admitted, np.isin(canon[_table_indices(digits)], list(classes)).any(axis=0))
-
-
 def test_a_hit_search_without_admitted_b_triples_scores_no_a_triple(monkeypatch):
     # a constant $A grid reads 0 everywhere: no row-code histogram admits a
     # multiplication table, so no a-triple of the 1200 $A values is made
@@ -446,28 +431,31 @@ def test_a_hit_search_without_admitted_b_triples_scores_no_a_triple(monkeypatch)
 
 
 def test_prune_working_memory():
-    # a full step of 30 rows, 345 b-triples, against all 3,654 target cells:
-    # (b-triple, cell) products in int64 traced 8.5 MB
-    n = 30
-    k = search.STEP_CELLS // (n + 27 * 27)
-    codes = np.random.default_rng(7).integers(0, 27, size=(n, k), dtype=np.uint8)
-    cells = search._target_cells(np.ones(27**3, dtype=bool))
-    assert (k, cells.shape) == (345, (3, 3654))
-    tracemalloc.start()
-    try:
-        admitted = search._admitted(codes, cells)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert admitted.all() and peak < 1e6
+    # a hit search of 30x30 random digits against all 84 classes (3,654
+    # target cells) that stops at its first hit: only the (b-triple, cell)
+    # counts are made, STEP_CELLS of them per block, which traced 6.5 MB
+    digits = np.random.default_rng(7).integers(0, 3, size=(30, 30), dtype=np.uint8)
+    classes = sorted(set(npn.canonical_map(3)))
+    assert len(classes) == 84 and len(search._target_cells(np.ones(27**3, dtype=bool))[0]) == 3654
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_quantized_grid", lambda *args: digits)
+        mp.setattr(search, "MAX_GRID_POINTS", 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^search has {math.comb(30, 3) ** 2} hits"):
+                search.hit_rows(None, None, None, targets=classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 12e6
     # a walk of n >= m rows takes min(C(m,3), STEP_CELLS // (n + 27*27))
     # b-triples per step, at most 352, as on this 14x14 grid: against the
-    # constant class's cells one prune block holds the whole step, and the
-    # 492 hits traced 284 KB
+    # constant class's cells one count block holds the whole step, and the
+    # 492 hits traced 409 KB
     grid = [2 * math.pi * k / 13 for k in range(14)]
     assert math.comb(13, 3) < search.STEP_CELLS // (14 + 27 * 27) == 352 < math.comb(14, 3)
-    cells = search._target_cells(np.isin(npn.canonical_map(3), [0]))
-    assert search.STEP_CELLS // (27 + cells.shape[1]) > 352
+    x, _, _ = search._target_cells(np.isin(npn.canonical_map(3), [0]))
+    assert search.STEP_CELLS // len(x) > 352
     tracemalloc.start()
     try:
         rows = search.hit_rows(two_pulse_template(), grid, grid, targets={0})
@@ -982,6 +970,25 @@ def test_hit_search_past_the_cap_names_the_exact_total(monkeypatch):
     monkeypatch.setattr(search, "MAX_GRID_POINTS", total - 1)
     with pytest.raises(ValueError, match=f"^search has {total} hits, more than the limit of {total - 1}$"):
         search.hit_rows(single_pulse_template(), grid, grid, targets={target})
+
+
+@settings(max_examples=60, deadline=None)
+@given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
+def test_the_running_hit_count_is_exact_at_the_cap(digits, step_cells, data):
+    # the cap is checked against the hits counted per block, before they are
+    # expanded, so the count must be exact where codes repeat too: a search
+    # capped at its hit total lists every hit, and one capped below it raises
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "STEP_CELLS", step_cells)
+        mp.setattr(search, "_quantized_grid", lambda *args: digits)
+        counts = search._class_counts(digits)
+        targets = data.draw(st.sets(st.sampled_from(sorted(counts)), min_size=1, max_size=4))
+        total = sum(counts[c] for c in targets)
+        mp.setattr(search, "MAX_GRID_POINTS", total)
+        assert len(search.hit_rows(None, None, None, targets=targets)) == total
+        mp.setattr(search, "MAX_GRID_POINTS", total - 1)
+        with pytest.raises(ValueError, match=f"^search has {total} hits, more than the limit of {total - 1}$"):
+            search.hit_rows(None, None, None, targets=targets)
 
 
 def test_hit_search_past_the_cap_counts_the_classes_once(monkeypatch):
