@@ -5,7 +5,8 @@ Subpackages:
 - :mod:`spinlogic.ternary` -- balanced ternary truth tables and indexing
 - :mod:`spinlogic.npn` -- relabelling symmetry group, orbits, Burnside count
 - :mod:`spinlogic.pc` -- parameter-centric signatures and classes
-- :mod:`spinlogic.spinsim` -- pulses, delays, relaxation, readout
+- :mod:`spinlogic.spinsim` -- pulses, delays, relaxation, readout, sequence
+  templates and their readout walk over a grid
 - :mod:`spinlogic.search` -- quantization, experiment tables, grid search
 - :mod:`spinlogic.complexlogic` -- magnitude/phase continuous logic and the
   NMR encode/decode pipeline

@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 self-check failure, 2 usage or parse error.
 
 Each command imports only the layers it uses: ``classify`` never loads the
 spin simulator, the search layer, complex logic or numpy, which only the
-search and simulation layers need.
+search and simulation layers need, and ``simulate`` and ``complex`` load the
+spin layer alone, none of the group layer (``npn``, ``pc``) or the search
+layer.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import npn
 from .ternary import encode, multiplication
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import search as search_mod
+    from . import spinsim
 
 
 def _fmt(x: float) -> str:
@@ -44,7 +45,7 @@ def _emit(pieces, out: str | None) -> None:
 def _parse_grid(spec: str) -> list[float]:
     """Comma-separated radians, or ``lin:<start>:<stop>:<n>`` for n evenly
     spaced samples including both endpoints."""
-    from . import search as search_mod
+    from . import spinsim
 
     spec = spec.strip()
     if not spec:
@@ -56,31 +57,31 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, n = float(parts[1]), float(parts[2]), int(parts[3])
         if n < 2:
             raise ValueError(f"linear grid needs at least 2 points, got {n}")
-        if n > search_mod.MAX_GRID_POINTS:
+        if n > spinsim.MAX_GRID_POINTS:
             raise ValueError(
-                f"linear grid of {n} points exceeds the limit of {search_mod.MAX_GRID_POINTS}"
+                f"linear grid of {n} points exceeds the limit of {spinsim.MAX_GRID_POINTS}"
             )
         return [start + k * (stop - start) / (n - 1) for k in range(n)]
     return [float(piece) for piece in spec.split(",")]
 
 
-def _template_and_grids(args) -> tuple[search_mod.SequenceTemplate, list[float], list[float]]:
-    from . import search as search_mod
+def _template_and_grids(args) -> tuple[spinsim.SequenceTemplate, list[float], list[float]]:
+    from . import spinsim
 
     name = args.sequence
     if name == "single-pulse":
-        template = search_mod.single_pulse_template()
+        template = spinsim.single_pulse_template()
     elif name == "two-pulse":
-        template = search_mod.two_pulse_template(args.phi1, args.beta2)
+        template = spinsim.two_pulse_template(args.phi1, args.beta2)
     elif name == "selective-delay":
-        template = search_mod.selective_delay_template(args.omega_a)
+        template = spinsim.selective_delay_template(args.omega_a)
     else:
-        template = search_mod.SequenceTemplate.from_json(Path(name).read_text(encoding="utf-8"))
+        template = spinsim.SequenceTemplate.from_json(Path(name).read_text(encoding="utf-8"))
     grid_a, grid_b = _parse_grid(args.grid_a), _parse_grid(args.grid_b)
-    if len(grid_a) * len(grid_b) > search_mod.MAX_GRID_POINTS:
+    if len(grid_a) * len(grid_b) > spinsim.MAX_GRID_POINTS:
         raise ValueError(
             f"grid of {len(grid_a)}x{len(grid_b)} points exceeds the limit of"
-            f" {search_mod.MAX_GRID_POINTS}"
+            f" {spinsim.MAX_GRID_POINTS}"
         )
     return template, grid_a, grid_b
 
@@ -95,7 +96,7 @@ def _classify_report(radix: int) -> dict:
     self-check wants the expected class counts, agreeing with Burnside's;
     every label its own label; every class size dividing the group order,
     as an orbit's does; and every function sharing its canonical's key."""
-    from . import pc
+    from . import npn, pc
 
     expected_npn, expected_pc = {2: (4, 4), 3: (84, 33)}[radix]
     values = {2: (0, 1), 3: (-1, 0, 1)}[radix]
@@ -126,8 +127,8 @@ def _classify_report(radix: int) -> dict:
     # every NPN class lies in exactly one PC class: each canonical occurs with
     # its own key only, so every function shares its canonical's key
     pc_consistent = all(key[c] == k for c, k in pairs)
-    burnside = npn.burnside_count(radix)
-    order = len(npn.fixed_point_counts(radix))
+    fixed = npn.fixed_point_counts(radix)
+    burnside, order = npn.burnside_count(radix, fixed), len(fixed)
     checks_pass = (
         len(canonicals) == expected_npn
         and len(pc_classes) == expected_pc
@@ -293,6 +294,8 @@ def _hit_report(rows, grid_a: list[float], grid_b: list[float], fmt: str):
         return
     import numpy as np
 
+    from . import npn
+
     a_text, b_text = [value_text(v) for v in grid_a], [value_text(v) for v in grid_b]
     canon = np.asarray(npn.canonical_map(3))
     sizes = np.bincount(canon)
@@ -312,22 +315,28 @@ def _hit_report(rows, grid_a: list[float], grid_b: list[float], fmt: str):
 
 
 def cmd_search(args) -> int:
+    # the layers before the template, so that no module is compiled after
+    # numpy has loaded (see search's imports)
+    from . import npn
     from . import search as search_mod
 
     template, grid_a, grid_b = _template_and_grids(args)
+    import numpy as np
+
     quantizer = search_mod.Quantizer(epsilon=args.epsilon)
 
     if args.target == "all":
         counts = search_mod.achievable_classes(template, grid_a, grid_b, quantizer)
-        sizes = Counter(npn.canonical_map(3))
+        sizes = np.bincount(np.asarray(npn.canonical_map(3))).tolist()
         rows = [
             {
                 "canonical": c,
-                "size": sizes[c],
+                "size": size,
                 "achievable": c in counts,
                 "tables": counts.get(c, 0),
             }
-            for c in sorted(sizes)
+            for c, size in enumerate(sizes)
+            if size
         ]
         if args.format == "json":
             text = json.dumps(rows, sort_keys=True, indent=2) + "\n"

@@ -1,49 +1,30 @@
 """Mapping simulated experiments onto logic tables, and searching parameter
 grids for implementations of target equivalence classes.
 
-A sequence template is a pulse-sequence document in which numeric fields of
-sequence elements may be the placeholder strings "$A" or "$B".  Binding three
-values to each placeholder yields nine experiments whose quantized readouts
-form a 3x3 logic table: the i-th chosen A value plays the logic input
-``(-1, 0, +1)[i]``, and likewise for B.  Since permuting the three chosen
-values only relabels an input, any one ordering of a value triple represents
-all six, so the search enumerates ascending triples from each grid.
+Binding three values to each placeholder of a sequence template
+(:class:`spinlogic.spinsim.SequenceTemplate`) yields nine experiments whose
+quantized readouts form a 3x3 logic table: the i-th chosen A value plays
+the logic input ``(-1, 0, +1)[i]``, and likewise for B.  Since permuting the
+three chosen values only relabels an input, any one ordering of a value
+triple represents all six, so the search enumerates ascending triples from
+each grid.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 
-import numpy as np
-
 from . import npn
-from .spinsim import Delay, document_from_dict, run_steps
+from .spinsim import MAX_GRID_POINTS, STEP_CELLS, SequenceTemplate
 from .ternary import TernaryFunction
 
+# numpy last, though spinsim loads it anyway: imported first, it would have
+# spinsim compiled after numpy has loaded, which, without bytecode caches,
+# left a search command about 0.4 MB more max RSS
+import numpy as np
+
 RAW_SLACK = 1e-9
-
-# Cells per step of every grid walk, which sizes its step from the grid shape:
-# point-peaks of a readout tile, whole rows or, when one row alone is over
-# budget, part of a row; per b-triple, rows plus 27*27 cells, which keep each
-# corner product of the class count within this many multiply-adds;
-# (b-triple, target cell) counts per hit-search block and ranks per chunk of
-# its expansion.  A readout tile peaks at 6.5 to 22 MB of float64 arrays
-# (tracemalloc).  Per point-peak, the built-in templates take 25 to 33 bytes
-# when a tile holds several rows and 73 to 84 on one-row tiles (21 MB on a
-# 4x250000 single-pulse grid); a 3-peak T1 template takes 53 and a 300-peak
-# one 68, as its walk holds the last tile's x and z while it simulates the
-# next.  A class-count or hit-search step peaks at a few MB: 6.5 MB for the
-# counts of a 30x30 grid against all 3,654 target cells, 409 KB on a 14x14
-# grid against the constant class, whose steps of 352 b-triples are the
-# largest a hit search takes.
-STEP_CELLS = 1 << 18
-
-# Largest grid a command evaluates, largest linear grid spec it expands, and
-# most hits a search lists: a grid's readouts are held as one float per point,
-# a hit as seven int32 indices.
-MAX_GRID_POINTS = 10**6
 
 
 class Quantizer(namedtuple("Quantizer", "epsilon")):
@@ -74,168 +55,6 @@ def quantize(x, q: Quantizer = Quantizer(), bound: float = 1.0):
         raise ValueError(f"readout {x[over][0]} outside [-{bound}, {bound}]")
     values = (x >= q.epsilon).astype(np.int8) - (x <= -q.epsilon)
     return values if values.ndim else int(values)
-
-
-PLACEHOLDERS = ("$A", "$B")
-
-
-def _accepts(element, key: str, values) -> bool:
-    """Whether ``element`` is valid with each of ``values`` in field ``key``."""
-    try:
-        for v in values:
-            element._replace(**{key: v})
-    except ValueError:
-        return False
-    return True
-
-
-class SequenceTemplate:
-    """Pulse-sequence document with exactly two free parameters, $A and $B.
-
-    The document is parsed once, so its errors show before any simulation;
-    a placeholder parses as 1.0, which every numeric element field accepts,
-    and ``slots`` holds the (element position, field, placeholder) of each.
-
-    ``readout_bound`` bounds the summed readout at every grid point: one
-    transverse component per peak, each at most the peak's norm.  Pulses and
-    precession preserve that norm and a T1 delay, moving mz toward 1, raises
-    its square by at most 1, so a peak without T1 contributes 1 and a peak
-    with T1 in a sequence of d delays sqrt(1 + d)."""
-
-    def __init__(self, document: dict):
-        self.system, self.sequence, self.slots = document_from_dict(document)
-        for _, key, name in self.slots:
-            if name not in PLACEHOLDERS:
-                raise ValueError(f"unknown placeholder {name!r} in field {key!r}")
-        missing = [p for p in PLACEHOLDERS if p not in {name for _, _, name in self.slots}]
-        if missing:
-            raise ValueError(f"template must use both $A and $B, missing {missing}")
-        delays = sum(isinstance(e, Delay) for e in self.sequence.elements)
-        self.readout_bound = sum(
-            1.0 if p.t1 is None else math.sqrt(1 + delays) for p in self.system.peaks
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SequenceTemplate":
-        try:
-            document = json.loads(text)
-        except RecursionError:
-            raise ValueError("template JSON is nested too deeply") from None
-        return cls(document)
-
-    def _checked(self, name: str, grid):
-        """(position, field, values) for each slot of placeholder ``name``,
-        ``values`` the grid as a float array that passes the element's own
-        validation.  Every element field is valid on an interval (finite,
-        > 0 or >= 0), so once numpy finds all values finite, the minimum and
-        maximum stand for the rest; only when a check fails is the grid
-        walked value by value, so the error names its first invalid value."""
-        values = np.asarray(grid, dtype=float)
-        finite = bool(np.isfinite(values).all())
-        extremes = (values.min(), values.max()) if values.size else ()
-        for k, key, placeholder in self.slots:
-            if placeholder == name:
-                element = self.sequence.elements[k]
-                if not (finite and _accepts(element, key, extremes)):
-                    for v in grid:  # raises at the first invalid value
-                        element._replace(**{key: v})
-                yield k, key, values
-
-    def _tiles(self, grid_a, grid_b):
-        """The one walk over the grid: (tile, values) for each tile in
-        row-major order, ``tile`` a pair of slices of grid_a and grid_b and
-        ``values`` its summed x readouts.  A tile holds whole rows of at most
-        STEP_CELLS point-peaks; only a row that alone is over budget is split,
-        into tiles of STEP_CELLS // peaks points, and a tile always holds at
-        least one point.  Every grid value is checked before the first tile.
-        Each slot is held as a column along its axis, (n, 1, 1) for $A and
-        (m, 1) for $B, and sliced per tile, so both broadcast over the tile's
-        (rows, columns, peaks) arrays."""
-        n, m, peaks = len(grid_a), len(grid_b), len(self.system.peaks)
-        cols = max(1, min(m, STEP_CELLS // peaks))
-        rows = max(1, STEP_CELLS // (cols * peaks))  # one row when cols < m
-        slots = [
-            (k, key, np.reshape(v, column), axis)
-            for axis, name, grid, column in ((0, "$A", grid_a, (-1, 1, 1)), (1, "$B", grid_b, (-1, 1)))
-            for k, key, v in self._checked(name, grid)
-        ]
-        steps = [(type(e), e._asdict()) for e in self.sequence.elements]
-        for r in range(0, n, rows):
-            for c in range(0, m, cols):
-                tile = slice(r, min(r + rows, n)), slice(c, min(c + cols, m))
-                for k, key, column, axis in slots:
-                    steps[k][1][key] = column[tile[axis]]
-                x, _, _ = run_steps(self.system, steps, (tile[0].stop - r, tile[1].stop - c))
-                yield tile, sum(np.moveaxis(x, -1, 0), 0.0)  # peak by peak, like read_mx
-
-    def readouts(self, grid_a, grid_b) -> np.ndarray:
-        """Summed x readout at every grid point, shape (len(grid_a),
-        len(grid_b)), filled tile by tile from the walk over the grid."""
-        out = np.empty((len(grid_a), len(grid_b)))
-        for tile, values in self._tiles(grid_a, grid_b):
-            out[tile] = values
-        return out
-
-
-def single_pulse_template() -> SequenceTemplate:
-    """One on-resonance peak, one pulse: flip angle $A, phase $B."""
-    return SequenceTemplate(
-        {
-            "peaks": [{"label": "s", "offset_rad_s": 0.0}],
-            "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}],
-        }
-    )
-
-
-def two_pulse_template(phi1: float = 3 * math.pi / 2, beta2: float = math.pi / 2) -> SequenceTemplate:
-    """One peak, two pulses: first flip angle $A at fixed phase phi1, then a
-    fixed beta2 rotation at phase $B."""
-    return SequenceTemplate(
-        {
-            "peaks": [{"label": "s", "offset_rad_s": 0.0}],
-            "sequence": [
-                {"type": "hard_pulse", "beta": "$A", "phi": phi1},
-                {"type": "hard_pulse", "beta": beta2, "phi": "$B"},
-            ],
-        }
-    )
-
-
-def selective_delay_template(omega_a: float = math.pi) -> SequenceTemplate:
-    """Two peaks at omega_a and 2*omega_a, a selective pi/2 excitation at
-    frequency $B, then a precession delay $A before acquisition."""
-    if omega_a <= 0:
-        raise ValueError(f"omega_a must be positive, got {omega_a}")
-    return SequenceTemplate(
-        {
-            "peaks": [
-                {"label": "A", "offset_rad_s": omega_a},
-                {"label": "B", "offset_rad_s": 2 * omega_a},
-            ],
-            "sequence": [
-                {
-                    "type": "selective_pulse",
-                    "beta": math.pi / 2,
-                    "phi": math.pi / 2,
-                    "target_offset": "$B",
-                    "tolerance": omega_a / 4,
-                },
-                {"type": "delay", "tau": "$A"},
-            ],
-        }
-    )
-
-
-def selective_delay_inputs(
-    omega_a: float = math.pi,
-) -> tuple[SequenceTemplate, tuple[float, float, float], tuple[float, float, float]]:
-    """The selective-delay template with the delay triple (0, quarter turn of
-    peak A, half turn of peak A) and the frequency triple (peak A, midpoint,
-    peak B)."""
-    template = selective_delay_template(omega_a)
-    delays = (0.0, math.pi / (2 * omega_a), math.pi / omega_a)
-    frequencies = (omega_a, 1.5 * omega_a, 2 * omega_a)
-    return template, delays, frequencies
 
 
 class ExperimentTable(namedtuple("ExperimentTable", "param_a param_b raw logic")):

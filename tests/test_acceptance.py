@@ -46,7 +46,7 @@ def matvec(m, v):
 
 
 def selective_delay_canonical():
-    template, delays, freqs = search.selective_delay_inputs()
+    template, delays, freqs = spinsim.selective_delay_inputs()
     table = search.evaluate_table(template, delays, freqs)
     return npn.canonical_index(encode(table.logic))
 
@@ -101,7 +101,7 @@ def test_criterion_04_pc_npn_structure():
 
 def test_criterion_05_single_pulse_surface():
     with criterion(5, "single-pulse readout = sin(beta)*sin(phi) on 100x100 grid (1e-12); triple quantizes to multiplication"):
-        template = search.single_pulse_template()
+        template = spinsim.single_pulse_template()
         system = spinsim.SpinSystem((spinsim.Peak("s", 0.0),))
         for i in range(100):
             beta = i * TWO_PI / 99
@@ -120,7 +120,7 @@ def test_criterion_06_negative_result_on_single_pulse():
         target = selective_delay_canonical()
         grid = list(np.linspace(0.0, TWO_PI, 16))
         hits = search.search(
-            search.single_pulse_template(), grid, grid, targets={target}
+            spinsim.single_pulse_template(), grid, grid, targets={target}
         )
         assert hits == []
 
@@ -129,7 +129,7 @@ def test_criterion_07_two_pulse_grid_oracle():
     with criterion(7, "10x10 two-pulse grid (phi1=3pi/2, beta2=pi/2) matches rotation-matrix oracle (1e-12)"):
         n, phi1, beta2 = 10, 3 * math.pi / 2, math.pi / 2
         samples = [k * TWO_PI / (n - 1) for k in range(n)]
-        grid = search.two_pulse_template(phi1, beta2).readouts(samples, samples)
+        grid = spinsim.two_pulse_template(phi1, beta2).readouts(samples, samples)
         worst = 0.0
         for i in range(n):
             beta1 = i * TWO_PI / (n - 1)

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import spinlogic
 from spinlogic import cli, npn, pc
 from spinlogic.cli import main
-from spinlogic.search import evaluate_table, selective_delay_inputs, two_pulse_template
+from spinlogic.search import evaluate_table
+from spinlogic.spinsim import selective_delay_inputs, two_pulse_template
 from spinlogic.ternary import encode, multiplication
 
 TRIPLE_CSV = "1.5707963267948966,3.141592653589793,4.71238898038469"
@@ -672,15 +673,31 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
         assert_answer_or_one_error_line(argv, *run_quietly(argv))
 
 
-def test_classify_and_hit_search_do_not_import_numpy_ma():
+def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
     # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports
     # it, so the class count finds its distinct rows by a sort.  Each command
     # also loads only the layers it uses: classify and a usage error load no
     # numpy at all, classify no inspect, and no command dataclasses (each
-    # dataclass took about 1 ms to build at import).
+    # dataclass took about 1 ms to build at import).  simulate and complex
+    # load the spin layer alone: none of the search or group layers, whose
+    # source a fresh process would compile for nothing.  No command finds a
+    # spinlogic module once numpy has begun to load: a module is compiled
+    # right after it is found, and one compiled after numpy left about 1 MB
+    # more max RSS.
     grid = "lin:0:6.283185307179586:8"
     layers = ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]
     numpy_commands = ["numpy.ma", "dataclasses", "spinlogic.complexlogic", "spinlogic.pc"]
+    spin_only = ["numpy.ma", "dataclasses", "spinlogic.search", "spinlogic.npn", "spinlogic.pc"]
+    template = tmp_path / "template.json"
+    template.write_text(
+        json.dumps(
+            {
+                "peaks": [{"label": "A", "offset_rad_s": 2.0, "t1_s": 1.0}],
+                "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}, {"type": "delay", "tau": 0.25}],
+            }
+        ),
+        encoding="utf-8",
+    )
     commands = [
         (["classify", "--radix", "3"], 0, ["numpy", "dataclasses", "inspect", *layers]),
         (["search"], 2, ["numpy", *layers, "spinlogic.pc"]),
@@ -692,20 +709,35 @@ def test_classify_and_hit_search_do_not_import_numpy_ma():
         ),
         (["search", "--sequence", "two-pulse", "--grid-a", grid, "--grid-b", grid, "--target", "all"],
          0, numpy_commands),
-        (["simulate", "--sequence", "selective-delay", "--grid-a", grid, "--grid-b", grid], 0, numpy_commands),
+        (["simulate", "--sequence", "selective-delay", "--grid-a", grid, "--grid-b", grid], 0,
+         [*spin_only, "spinlogic.complexlogic"]),
+        (["simulate", "--sequence", str(template), "--grid-a", grid, "--grid-b", grid], 0,
+         [*spin_only, "spinlogic.complexlogic"]),
+        (["complex", "mul", "0.8", "1.0471975511965976", "0.5", "3.141592653589793"], 0, spin_only),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
     for argv, code, unused in commands:
         script = (
             "import contextlib, io, sys\n"
+            "late = []\n"
+            "class Spy:\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        if name.startswith('spinlogic') and 'numpy' in sys.modules:\n"
+            "            late.append(name)\n"
+            "sys.meta_path.insert(0, Spy)\n"
             "from spinlogic.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             f"    assert main({argv!r}) == {code}\n"
-            f"print([m for m in {unused!r} if m in sys.modules])\n"
+            f"print([m for m in {unused!r} if m in sys.modules], late)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n", argv
+        assert result.stdout == "[] []\n", argv
+    # importing the CLI loads no group layer: each command loads its own
+    script = "import sys\nimport spinlogic.cli\nprint([m for m in sys.modules if m.startswith('spinlogic.')])\n"
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['spinlogic.ternary', 'spinlogic.cli']\n"
 
 
 # --- hit reports -----------------------------------------------------------------

@@ -14,10 +14,12 @@ from spinlogic import cli, npn, pc, search, spinsim
 from spinlogic.search import (
     ExperimentTable,
     Quantizer,
-    SequenceTemplate,
     achievable_classes,
     evaluate_table,
     quantize,
+)
+from spinlogic.spinsim import (
+    SequenceTemplate,
     selective_delay_inputs,
     single_pulse_template,
     two_pulse_template,
@@ -351,6 +353,7 @@ def test_hit_rows_of_a_grid_are_those_of_its_transpose_swapped(digits, step_cell
 
 @pytest.mark.parametrize("step_cells", [1, 7, 200, 1 << 18])
 def test_search_hits_match_pairwise_oracle_in_order(monkeypatch, step_cells):
+    monkeypatch.setattr(spinsim, "STEP_CELLS", step_cells)
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
     made = {}
     triples = search._triples
@@ -491,6 +494,7 @@ def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     expected = tpl.readouts(grid_a, grid_b)
     expected_digits = (quantize(expected, Quantizer(), tpl.readout_bound) + 1).astype(np.uint8)
     assert set(expected_digits.ravel().tolist()) == {0, 1, 2}
+    monkeypatch.setattr(spinsim, "STEP_CELLS", step_cells)
     monkeypatch.setattr(search, "STEP_CELLS", step_cells)
     # at 64 cells a tile holds 4 of the 7 rows of 5 points times 3 peaks
     assert np.array_equal(tpl.readouts(grid_a, grid_b), expected)
@@ -499,7 +503,7 @@ def test_derived_steps_do_not_change_results(monkeypatch, step_cells):
     assert search._class_counts(digits) == dict(zip(values.tolist(), counts.tolist()))
 
 
-@pytest.mark.parametrize("step_cells", [5, search.STEP_CELLS])
+@pytest.mark.parametrize("step_cells", [5, spinsim.STEP_CELLS])
 def test_block_quantization_reports_the_first_readout_out_of_bound(monkeypatch, step_cells):
     tpl = single_pulse_template()
     tpl.readout_bound = 0.5
@@ -509,7 +513,7 @@ def test_block_quantization_reports_the_first_readout_out_of_bound(monkeypatch, 
         quantize(readouts, Quantizer(), tpl.readout_bound)
     # at 5 cells a tile is one row, and the first two rows are within the bound
     assert np.abs(readouts[:2]).max() < tpl.readout_bound
-    monkeypatch.setattr(search, "STEP_CELLS", step_cells)
+    monkeypatch.setattr(spinsim, "STEP_CELLS", step_cells)
     with pytest.raises(ValueError) as blocks:
         search._quantized_grid(tpl, grid_a, grid_b, Quantizer())
     assert str(blocks.value) == str(whole.value)
@@ -548,7 +552,7 @@ def t1_sequence_document(peaks: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("step_cells", [1, 5, 64, search.STEP_CELLS])
+@pytest.mark.parametrize("step_cells", [1, 5, 64, spinsim.STEP_CELLS])
 def test_tiles_stay_within_the_budget_and_cover_the_grid_in_row_major_order(monkeypatch, step_cells):
     tpl = SequenceTemplate(t1_sequence_document(3))
     rng = random.Random(13)
@@ -557,16 +561,17 @@ def test_tiles_stay_within_the_budget_and_cover_the_grid_in_row_major_order(monk
     grids = [(grid_a, grid_b), ([], grid_b), (grid_a, [])]
     expected = [tpl.readouts(a, b) for a, b in grids]
     calls = []
+    run_steps = spinsim.run_steps
 
     def recording_run_steps(system, steps, shape):
         rows, cols = shape
         # a $A value is a (rows, 1, 1) slice and a $B value a (cols, 1) one
         assert {np.shape(v) for _, fields in steps for v in fields.values()} <= {(), (rows, 1, 1), (cols, 1)}
         calls.append(shape)
-        return spinsim.run_steps(system, steps, shape)
+        return run_steps(system, steps, shape)
 
-    monkeypatch.setattr(search, "STEP_CELLS", step_cells)
-    monkeypatch.setattr(search, "run_steps", recording_run_steps)
+    monkeypatch.setattr(spinsim, "STEP_CELLS", step_cells)
+    monkeypatch.setattr(spinsim, "run_steps", recording_run_steps)
     # at 64 cells a row of 25 points times 3 peaks is split into 21 and 4 points
     tiles = [tile for tile, _ in tpl._tiles(grid_a, grid_b)]
     assert all(rows * cols * 3 <= max(step_cells, 3) for rows, cols in calls)
@@ -626,9 +631,9 @@ def test_readouts_trace_at_most_64_bytes_per_point_peak():
     grid = [2 * math.pi * k / 99 for k in range(100)]
     assert traced_bytes_per_point_peak(three_peaks, grid, grid) <= 64
     # one single-pulse tile of exactly STEP_CELLS point-peaks, output included
-    side = math.isqrt(search.STEP_CELLS)
+    side = math.isqrt(spinsim.STEP_CELLS)
     grid = [2 * math.pi * k / (side - 1) for k in range(side)]
-    assert side * side == search.STEP_CELLS
+    assert side * side == spinsim.STEP_CELLS
     assert traced_bytes_per_point_peak(single_pulse_template(), grid, grid) <= 64
 
 
@@ -876,7 +881,7 @@ def test_template_rejects_invalid_constants_when_constructed(monkeypatch, elemen
     def no_simulation(*args):
         raise AssertionError("simulated before the template was checked")
 
-    monkeypatch.setattr(search, "run_steps", no_simulation)
+    monkeypatch.setattr(spinsim, "run_steps", no_simulation)
     sequence = [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}, element]
     with pytest.raises(ValueError, match=message):
         SequenceTemplate({"peaks": [{"label": "s", "offset_rad_s": 0.0}], "sequence": sequence})
@@ -964,6 +969,7 @@ def test_hit_search_past_the_cap_names_the_exact_total(monkeypatch):
     total = achievable_classes(single_pulse_template(), grid, grid)[npn.canonical_index(target)]
     assert total == 752
     # small steps, so that the kept rows pass the cap in the middle of the walk
+    monkeypatch.setattr(spinsim, "STEP_CELLS", 64)
     monkeypatch.setattr(search, "STEP_CELLS", 64)
     monkeypatch.setattr(search, "MAX_GRID_POINTS", total)
     assert len(search.hit_rows(single_pulse_template(), grid, grid, targets={target})) == total

@@ -21,8 +21,8 @@ from spinlogic.spinsim import (
     read_mx,
     run_sequence,
     run_steps,
+    two_pulse_template,
 )
-from spinlogic.search import two_pulse_template
 from spin_reference import (
     apply_delay,
     apply_element,
