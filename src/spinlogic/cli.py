@@ -494,6 +494,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # an internal consistency check
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -29,19 +29,19 @@ from .spinsim import (
     Peak,
     PulseSequence,
     SpinSystem,
-    _check_finite,
     normalize_phase,
     read_complex,
     run_sequence,
 )
+from .ternary import CheckedTuple, _check_finite
 
 _R_SLACK = 1e-9
 _ZERO_MAGNITUDE = 1e-12
 
 
-class ComplexSample(namedtuple("ComplexSample", "r theta")):
+class ComplexSample(CheckedTuple, namedtuple("ComplexSample", "r theta")):
     """A continuous truth value: magnitude in [0, 1], phase in [0, 2*pi).
-    A named tuple, checked and normalized when built."""
+    A :class:`~spinlogic.ternary.CheckedTuple`, normalized when built."""
 
     __slots__ = ()
 
@@ -50,11 +50,6 @@ class ComplexSample(namedtuple("ComplexSample", "r theta")):
         if not math.isfinite(r) or r < -_R_SLACK or r > 1.0 + _R_SLACK:
             raise ValueError(f"magnitude must lie in [0, 1], got {r!r}")
         return tuple.__new__(cls, (min(max(r, 0.0), 1.0), normalize_phase(theta)))
-
-    @classmethod
-    def _make(cls, fields) -> "ComplexSample":
-        # ``_replace`` builds through ``_make``; validate there too
-        return cls(*fields)
 
     def to_complex(self) -> complex:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
@@ -65,10 +60,10 @@ class ComplexSample(namedtuple("ComplexSample", "r theta")):
         return cls(r, math.atan2(z.imag, z.real) if r else 0.0)
 
 
-class EncodingParams(namedtuple("EncodingParams", "t1 omega_off alpha")):
+class EncodingParams(CheckedTuple, namedtuple("EncodingParams", "t1 omega_off alpha")):
     """NMR encoding constants: relaxation time, offset-frame frequency, and
     the magnitude scale (alpha > 1 keeps r = 1 encodable in finite time).
-    A named tuple, checked when built."""
+    A :class:`~spinlogic.ternary.CheckedTuple`."""
 
     __slots__ = ()
 
@@ -81,10 +76,6 @@ class EncodingParams(namedtuple("EncodingParams", "t1 omega_off alpha")):
         if _check_finite("alpha", alpha) <= 1:
             raise ValueError(f"alpha must exceed 1, got {alpha}")
         return tuple.__new__(cls, (t1, omega_off, alpha))
-
-    @classmethod
-    def _make(cls, fields) -> "EncodingParams":
-        return cls(*fields)
 
 
 DEFAULT_PARAMS = EncodingParams(t1=1.0, omega_off=TWO_PI)

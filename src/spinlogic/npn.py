@@ -43,7 +43,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .ternary import TernaryFunction
+from .ternary import CheckedTuple, TernaryFunction
 
 
 def _check_perm(perm: tuple[int, ...], radix: int) -> tuple[int, ...]:
@@ -53,7 +53,7 @@ def _check_perm(perm: tuple[int, ...], radix: int) -> tuple[int, ...]:
     return perm
 
 
-class NpnTransform(namedtuple("NpnTransform", "perm_a perm_b swap_inputs perm_out")):
+class NpnTransform(CheckedTuple, namedtuple("NpnTransform", "perm_a perm_b swap_inputs perm_out")):
     """One element of the relabelling group: value permutations on each
     input, an optional input swap, and a value permutation on the output.
 
@@ -74,11 +74,6 @@ class NpnTransform(namedtuple("NpnTransform", "perm_a perm_b swap_inputs perm_ou
                 _check_perm(perm_out, radix),
             ),
         )
-
-    @classmethod
-    def _make(cls, fields) -> "NpnTransform":
-        # ``_replace`` builds through ``_make``; validate there too
-        return cls(*fields)
 
     @property
     def radix(self) -> int:

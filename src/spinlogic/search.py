@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from . import npn
 from .spinsim import MAX_GRID_POINTS, STEP_CELLS, SequenceTemplate
-from .ternary import TernaryFunction
+from .ternary import CheckedTuple, TernaryFunction
 
 # numpy last, though spinsim loads it anyway: imported first, it would have
 # spinsim compiled after numpy has loaded, which, without bytecode caches,
@@ -27,10 +27,10 @@ import numpy as np
 RAW_SLACK = 1e-9
 
 
-class Quantizer(namedtuple("Quantizer", "epsilon")):
+class Quantizer(CheckedTuple, namedtuple("Quantizer", "epsilon")):
     """Threshold map from readout to {-1, 0, +1}: magnitudes below epsilon
     become 0, everything else keeps its sign.  The threshold does not scale
-    with a template's readout bound.  A named tuple, checked when built."""
+    with a template's readout bound.  A :class:`~spinlogic.ternary.CheckedTuple`."""
 
     __slots__ = ()
 
@@ -38,11 +38,6 @@ class Quantizer(namedtuple("Quantizer", "epsilon")):
         if not 0 < epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         return tuple.__new__(cls, (epsilon,))
-
-    @classmethod
-    def _make(cls, fields) -> "Quantizer":
-        # ``_replace`` builds through ``_make``; validate there too
-        return cls(*fields)
 
 
 def quantize(x, q: Quantizer = Quantizer(), bound: float = 1.0):

@@ -38,6 +38,10 @@ import math
 from collections import namedtuple
 from typing import Union
 
+# spinlogic imports before numpy, so no module of the package is compiled
+# after numpy has begun to load
+from .ternary import CheckedTuple, _check_finite
+
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
@@ -53,14 +57,7 @@ def normalize_phase(theta: float) -> float:
     return theta
 
 
-def _check_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-class Magnetization(namedtuple("Magnetization", "mx my mz")):
+class Magnetization(CheckedTuple, namedtuple("Magnetization", "mx my mz")):
     """Per-peak magnetization vector in units of equilibrium magnetization.
 
     Rotations preserve the norm and t1-free delays preserve mz and the
@@ -69,20 +66,15 @@ class Magnetization(namedtuple("Magnetization", "mx my mz")):
     recovery delay (no T2 decay counteracts it), by at most 1 in the squared
     norm per delay.
 
-    Like every value of the spin layer, a named tuple whose constructor
-    checks its fields (and so does ``_replace``): ``m`` equals the plain
-    tuple ``(mx, my, mz)``.
+    Like every value of the spin layer, a checked named tuple
+    (:class:`~spinlogic.ternary.CheckedTuple`): ``m`` equals the plain tuple
+    ``(mx, my, mz)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, mx, my, mz) -> "Magnetization":
         return tuple.__new__(cls, map(_check_finite, cls._fields, (mx, my, mz)))
-
-    @classmethod
-    def _make(cls, fields) -> "Magnetization":
-        # ``_replace`` builds through ``_make``; validate there too
-        return cls(*fields)
 
     def norm(self) -> float:
         return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
@@ -91,7 +83,7 @@ class Magnetization(namedtuple("Magnetization", "mx my mz")):
 EQUILIBRIUM = Magnetization(0.0, 0.0, 1.0)
 
 
-class Peak(namedtuple("Peak", "label offset m t1")):
+class Peak(CheckedTuple, namedtuple("Peak", "label offset m t1")):
     """A spectral line: offset from the transmitter in rad/s, its current
     magnetization, and an optional longitudinal relaxation time."""
 
@@ -105,12 +97,8 @@ class Peak(namedtuple("Peak", "label offset m t1")):
                 raise ValueError(f"t1 must be positive, got {t1}")
         return tuple.__new__(cls, (label, offset, m, t1))
 
-    @classmethod
-    def _make(cls, fields) -> "Peak":
-        return cls(*fields)
 
-
-class SpinSystem(namedtuple("SpinSystem", "peaks")):
+class SpinSystem(CheckedTuple, namedtuple("SpinSystem", "peaks")):
     __slots__ = ()
 
     def __new__(cls, peaks) -> "SpinSystem":
@@ -122,12 +110,8 @@ class SpinSystem(namedtuple("SpinSystem", "peaks")):
             raise ValueError(f"peak labels must be unique, got {labels}")
         return tuple.__new__(cls, (peaks,))
 
-    @classmethod
-    def _make(cls, fields) -> "SpinSystem":
-        return cls(*fields)
 
-
-class HardPulse(namedtuple("HardPulse", "beta phi")):
+class HardPulse(CheckedTuple, namedtuple("HardPulse", "beta phi")):
     """Non-selective rotation: flip angle beta about axis at phase phi."""
 
     __slots__ = ()
@@ -135,12 +119,8 @@ class HardPulse(namedtuple("HardPulse", "beta phi")):
     def __new__(cls, beta, phi) -> "HardPulse":
         return tuple.__new__(cls, (_check_finite("beta", beta), _check_finite("phi", phi)))
 
-    @classmethod
-    def _make(cls, fields) -> "HardPulse":
-        return cls(*fields)
 
-
-class SelectivePulse(namedtuple("SelectivePulse", "beta phi target_offset tolerance")):
+class SelectivePulse(CheckedTuple, namedtuple("SelectivePulse", "beta phi target_offset tolerance")):
     """Rotation applied only to peaks with |offset - target_offset| < tolerance."""
 
     __slots__ = ()
@@ -151,12 +131,8 @@ class SelectivePulse(namedtuple("SelectivePulse", "beta phi target_offset tolera
             raise ValueError(f"tolerance must be positive, got {pulse.tolerance}")
         return pulse
 
-    @classmethod
-    def _make(cls, fields) -> "SelectivePulse":
-        return cls(*fields)
 
-
-class Delay(namedtuple("Delay", "tau")):
+class Delay(CheckedTuple, namedtuple("Delay", "tau")):
     """Free precession for tau seconds, with T1 recovery where configured."""
 
     __slots__ = ()
@@ -167,23 +143,15 @@ class Delay(namedtuple("Delay", "tau")):
             raise ValueError(f"delay must be nonnegative, got {tau}")
         return tuple.__new__(cls, (tau,))
 
-    @classmethod
-    def _make(cls, fields) -> "Delay":
-        return cls(*fields)
-
 
 SequenceElement = Union[HardPulse, SelectivePulse, Delay]
 
 
-class PulseSequence(namedtuple("PulseSequence", "elements")):
+class PulseSequence(CheckedTuple, namedtuple("PulseSequence", "elements")):
     __slots__ = ()
 
     def __new__(cls, elements) -> "PulseSequence":
         return tuple.__new__(cls, (tuple(elements),))
-
-    @classmethod
-    def _make(cls, fields) -> "PulseSequence":
-        return cls(*fields)
 
 
 def _rotate(x, y, z, beta, phi, window=()):
@@ -439,7 +407,8 @@ PLACEHOLDERS = ("$A", "$B")
 
 
 def _accepts(element, key: str, values) -> bool:
-    """Whether ``element`` is valid with each of ``values`` in field ``key``."""
+    """Whether ``element`` is valid with each of ``values`` in field ``key``:
+    ``_replace`` checks a copy like the constructor (``CheckedTuple``)."""
     try:
         for v in values:
             element._replace(**{key: v})

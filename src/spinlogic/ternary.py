@@ -7,10 +7,16 @@ and input B the column, so the output for (a, b) sits at cell
 little-endian base-3 number with digit ``output + 1`` per cell, which maps
 the 19,683 functions bijectively onto ``range(19683)``: the constant -1
 function is index 0 and the constant +1 function is index 19,682.
+
+Each value type of the package that checks its fields is an immutable named
+tuple on the base :class:`CheckedTuple`: its ``__new__`` checks them, and
+``_replace`` checks a changed copy the same way.  This module imports no
+other spinlogic module, so every layer builds on it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
@@ -19,6 +25,27 @@ NUM_CELLS = 9
 NUM_FUNCTIONS = 3**NUM_CELLS  # 19,683
 
 _POWERS = tuple(3**i for i in range(NUM_CELLS))
+
+
+class CheckedTuple:
+    """Base of the package's value types: ``class V(CheckedTuple,
+    namedtuple(...))``, with a ``__new__`` that checks the fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through the constructor.  The named tuple's own ``_make``
+        skips ``__new__``, and ``_replace`` builds through ``_make``, so
+        without this a changed copy would escape the checks."""
+        return cls(*fields)
+
+
+def _check_finite(name: str, x: float) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _check_value(v: int) -> int:
@@ -32,7 +59,7 @@ def cell_index(a: int, b: int) -> int:
     return 3 * (_check_value(a) + 1) + (_check_value(b) + 1)
 
 
-class TernaryFunction(namedtuple("TernaryFunction", "outputs")):
+class TernaryFunction(CheckedTuple, namedtuple("TernaryFunction", "outputs")):
     """Immutable 3x3 truth table over {-1, 0, +1}.
 
     A one-field named tuple: ``len(f) == 1``, iterating ``f`` yields its
@@ -46,11 +73,6 @@ class TernaryFunction(namedtuple("TernaryFunction", "outputs")):
         if len(outputs) != NUM_CELLS:
             raise ValueError(f"expected {NUM_CELLS} outputs, got {len(outputs)}")
         return tuple.__new__(cls, (outputs,))
-
-    @classmethod
-    def _make(cls, fields) -> "TernaryFunction":
-        # ``_replace`` builds through ``_make``; validate there too
-        return cls(*fields)
 
     def __call__(self, a: int, b: int) -> int:
         return self.outputs[cell_index(a, b)]

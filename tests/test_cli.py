@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlogic
-from spinlogic import cli, npn, pc
+from spinlogic import cli, npn, pc, search
 from spinlogic.cli import main
 from spinlogic.search import evaluate_table
 from spinlogic.spinsim import selective_delay_inputs, two_pulse_template
@@ -481,6 +481,31 @@ def test_classify_fails_its_self_check_when_a_function_changes_class(monkeypatch
     code, out, _ = run(capsys, "classify", "--radix", "3", "--format", "json")
     assert code == 1
     assert json.loads(out)["self_check"] == "fail"
+
+
+def test_classify_exits_1_when_the_burnside_count_fails_its_check(monkeypatch, capsys):
+    # fixed-point counts whose total the group order does not divide
+    monkeypatch.setattr(npn, "fixed_point_counts", lambda radix: [1] + [0] * 431)
+    code, out, err = run(capsys, "classify", "--radix", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: self-check failed: fixed-point total 1 not divisible by group order 432\n"
+
+
+def test_search_exits_1_when_the_class_totals_fail_their_check(monkeypatch, capsys):
+    # one pair too many: the class totals miss C(n,3)*C(m,3)
+    sorted_cells = search._sorted_cells
+
+    def one_more(*args):
+        index, count = sorted_cells(*args)
+        count[0] += 1
+        return index, count
+
+    monkeypatch.setattr(search, "_sorted_cells", one_more)
+    grid = "lin:0:6.283185307179586:8"
+    code, out, err = run(capsys, "search", "--sequence", "two-pulse", "--grid-a", grid, "--grid-b", grid,
+                         "--target", "all")
+    assert (code, out) == (1, "")
+    assert err == "error: self-check failed: class totals do not sum to the number of triple pairs\n"
 
 
 def test_cold_classify_report_traces_under_1_5_mb():

@@ -415,9 +415,10 @@ def test_hits_per_class_equal_the_class_counts(digits, step_cells, data):
     assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
-def test_a_hit_search_without_admitted_b_triples_scores_no_a_triple(monkeypatch):
-    # a constant $A grid reads 0 everywhere: no row-code histogram admits a
-    # multiplication table, so no a-triple of the 1200 $A values is made
+def test_a_hit_search_without_picks_expands_no_a_triple(monkeypatch):
+    # a constant $A grid reads 0 everywhere: no b-triple's row-code histogram
+    # has a pick in a multiplication cell, so the count-and-expand walk
+    # expands nothing, and no a-triple of the 1200 $A values is made
     made = []
     triples = search._triples
 
@@ -433,10 +434,11 @@ def test_a_hit_search_without_admitted_b_triples_scores_no_a_triple(monkeypatch)
     assert made == [(3, 1)]
 
 
-def test_prune_working_memory():
+def test_count_and_expand_working_memory():
     # a hit search of 30x30 random digits against all 84 classes (3,654
-    # target cells) that stops at its first hit: only the (b-triple, cell)
-    # counts are made, STEP_CELLS of them per block, which traced 6.5 MB
+    # target cells) over its cap of 0 hits: the walk counts the (b-triple,
+    # cell) picks, STEP_CELLS of them per block, and stops before it expands
+    # any, which traced 6.5 MB
     digits = np.random.default_rng(7).integers(0, 3, size=(30, 30), dtype=np.uint8)
     classes = sorted(set(npn.canonical_map(3)))
     assert len(classes) == 84 and len(search._target_cells(np.ones(27**3, dtype=bool))[0]) == 3654

@@ -1,7 +1,20 @@
+import math
 import random
 
 import pytest
 
+from spinlogic.complexlogic import DEFAULT_PARAMS, ComplexSample
+from spinlogic.npn import identity_transform
+from spinlogic.search import Quantizer
+from spinlogic.spinsim import (
+    EQUILIBRIUM,
+    Delay,
+    HardPulse,
+    Peak,
+    PulseSequence,
+    SelectivePulse,
+    SpinSystem,
+)
 from spinlogic.ternary import (
     NUM_FUNCTIONS,
     TernaryFunction,
@@ -120,3 +133,35 @@ def test_ternary_function_is_an_immutable_value():
     assert repr(f) == "TernaryFunction(outputs=(1, 0, -1, 0, 0, 0, -1, 0, 1))"
     # a one-field named tuple
     assert len(f) == 1 and tuple(f) == (f.outputs,) and f == (f.outputs,)
+
+
+PEAK = Peak("A", 1.0)
+# (value, change, ValueError message or the checked copy), one per value type
+REPLACE_CASES = [
+    (TernaryFunction((0,) * 9), {"outputs": (0,) * 8}, "^expected 9 outputs, got 8$"),
+    (identity_transform(3), {"perm_out": (2, 2, 0)}, r"^not a permutation of range\(3\): \(2, 2, 0\)$"),
+    (Quantizer(), {"epsilon": 1.0}, r"^epsilon must be in \(0, 1\), got 1.0$"),
+    (EQUILIBRIUM, {"mx": math.nan}, "^mx must be finite, got nan$"),
+    (PEAK, {"t1": -1}, "^t1 must be positive, got -1.0$"),
+    (SpinSystem((PEAK,)), {"peaks": (PEAK, PEAK)}, r"^peak labels must be unique, got \['A', 'A'\]$"),
+    (HardPulse(1.0, 0.0), {"phi": math.inf}, "^phi must be finite, got inf$"),
+    (SelectivePulse(1.0, 0.0, 1.0, 0.5), {"tolerance": 0.0}, "^tolerance must be positive, got 0.0$"),
+    (Delay(1.0), {"tau": -1.0}, "^delay must be nonnegative, got -1.0$"),
+    (DEFAULT_PARAMS, {"alpha": 1.0}, "^alpha must exceed 1, got 1.0$"),
+    (PulseSequence(()), {"elements": [Delay(1.0)]}, PulseSequence((Delay(1.0),))),
+    (ComplexSample(0.5, 0.0), {"theta": 7.0}, ComplexSample(0.5, 7.0 - 2 * math.pi)),
+]
+
+
+@pytest.mark.parametrize(
+    "value, changes, expected", REPLACE_CASES, ids=[type(v).__name__ for v, _, _ in REPLACE_CASES]
+)
+def test_replace_runs_the_constructor(value, changes, expected):
+    # each value type is a CheckedTuple: a changed copy is checked, and
+    # normalized, like a newly built value
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            value._replace(**changes)
+    else:
+        copy = value._replace(**changes)
+        assert type(copy) is type(expected) and tuple(copy) == tuple(expected)
