@@ -316,10 +316,13 @@ def hit_rows(
                 pos += offset.take(pair, axis=1)  # sorted positions of the picked rows
                 keep = (pos[0] < pos[1]) & (pos[1] < pos[2])
                 col = l[pair[keep]]
-                a = np.sort(order[pos[:, keep], col].T, axis=1)
-                rows = np.empty((len(a), 7), dtype=np.int32)
-                rows[:, :3], rows[:, 3:6] = a, b[col]
-                rows[:, 6] = codes[a, col[:, None]] @ _CODES ** np.arange(3)
+                i, j, k = order[pos[:, keep], col]  # ascending by a min/max network
+                i, j = np.minimum(i, j), np.maximum(i, j)
+                j, k = np.minimum(j, k), np.maximum(j, k)
+                i, j = np.minimum(i, j), np.maximum(i, j)
+                rows = np.empty((len(col), 7), dtype=np.int32)
+                rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:6] = i, j, k, b[col]
+                rows[:, 6] = codes[rows[:, :3], col[:, None]] @ _CODES ** np.arange(3)
                 found.append(rows)
     found = np.concatenate(found)
     if walked is not digits:  # swap the triples back and transpose each table:

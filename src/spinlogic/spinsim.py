@@ -28,7 +28,8 @@ A sequence template (:class:`SequenceTemplate`) is such a document in which
 numeric fields of sequence elements may be the placeholder strings "$A" or
 "$B".  Its readouts on a grid of ($A, $B) values come from one walk over the
 grid in tiles of at most STEP_CELLS point-peaks, each tile one call of
-:func:`run_steps`; the search layer quantizes them into logic tables.
+:func:`run_steps` per group of peaks that its constant selective windows
+select alike; the search layer quantizes them into logic tables.
 """
 
 from __future__ import annotations
@@ -224,6 +225,11 @@ def _evolve(x, y, z, offset, tau, t1):
     return nx, ny, e
 
 
+def _in_window(offset, target_offset, tolerance):
+    """Which peaks of ``offset`` a selective pulse rotates."""
+    return np.abs(offset - target_offset) < tolerance
+
+
 def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
     """The element loop behind every simulation: one copy of the system per
     cell of a grid of ``shape``, such as (rows, columns), starts from
@@ -240,9 +246,13 @@ def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
     steps before a column value enters run on (rows, 1, peaks).  A step
     allocates its three output arrays and one scratch array of that shape,
     and a delay a copy of the T1 peaks' mz; a delay keeps mz as it is when
-    no peak has a T1.  Returns the x,
-    y and z components as read-only ``shape + (peaks,)`` broadcast views of
-    the final state, checked finite before they are broadcast."""
+    no peak has a T1.  A selective pulse whose window selects none of the
+    system's peaks is skipped, so the state does not grow along its values;
+    the readout walk of :class:`SequenceTemplate` uses this by running each
+    group of peaks that the constant windows select alike as a system of
+    its own.  Returns the x, y and z components as read-only
+    ``shape + (peaks,)`` broadcast views of the final state, checked finite
+    before they are broadcast."""
     offset = np.array([p.offset for p in s.peaks])
     t1 = np.array([p.t1 or math.inf for p in s.peaks])  # t1 is positive when set
     x = y = np.zeros(len(offset))
@@ -252,7 +262,9 @@ def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
             if kind is HardPulse:
                 x, y, z = _rotate(x, y, z, v["beta"], v["phi"])
             elif kind is SelectivePulse:
-                hit = np.abs(offset - v["target_offset"]) < v["tolerance"]
+                hit = _in_window(offset, v["target_offset"], v["tolerance"])
+                if not hit.any():
+                    continue  # a window that selects no peak leaves the state as it is
                 rotated = _rotate(x, y, z, v["beta"], v["phi"], hit.shape)
                 for r, m in zip(rotated, (x, y, z)):
                     np.copyto(r, m, where=~hit)  # peaks outside the window keep m
@@ -390,12 +402,14 @@ def document_from_dict(
 # its expansion.  A readout tile peaks at 6.5 to 22 MB of float64 arrays
 # (tracemalloc).  Per point-peak, the built-in templates take 25 to 33 bytes
 # when a tile holds several rows and 73 to 84 on one-row tiles (21 MB on a
-# 4x250000 single-pulse grid); a 3-peak T1 template takes 53 and a 300-peak
-# one 68, as its walk holds the last tile's x and z while it simulates the
-# next.  A class-count or hit-search step peaks at a few MB: 6.5 MB for the
-# counts of a 30x30 grid against all 3,654 target cells, 409 KB on a 14x14
-# grid against the constant class, whose steps of 352 b-triples are the
-# largest a hit search takes.
+# 4x250000 single-pulse grid).  The benchmark's T1 template, whose $B pulse
+# selects one of 3 peaks, takes 22 on a 100x100 tile; on 300 peaks, of which
+# the pulse selects 85, it takes 16.5 on a 3x10000 grid, as its walk holds
+# the last tile's x and z while it simulates the next.  A class-count or
+# hit-search step peaks at a few MB: 6.5 MB for the counts of a 30x30 grid
+# against all 3,654 target cells, 409 KB on a 14x14 grid against the
+# constant class, whose steps of 352 b-triples are the largest a hit search
+# takes.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -428,7 +442,14 @@ class SequenceTemplate:
     transverse component per peak, each at most the peak's norm.  Pulses and
     precession preserve that norm and a T1 delay, moving mz toward 1, raises
     its square by at most 1, so a peak without T1 contributes 1 and a peak
-    with T1 in a sequence of d delays sqrt(1 + d)."""
+    with T1 in a sequence of d delays sqrt(1 + d).
+
+    ``groups`` splits the peaks by their membership in every selective
+    pulse whose ``target_offset`` and ``tolerance`` are both constants, as
+    (peak positions, spin system of those peaks) pairs in order of first
+    peak; peaks in one group are selected by the same constant windows.  A
+    window with a placeholder depends on the grid and splits no group.
+    With w constant windows there are at most min(peaks, 2**w) groups."""
 
     def __init__(self, document: dict):
         self.system, self.sequence, self.slots = document_from_dict(document)
@@ -442,6 +463,19 @@ class SequenceTemplate:
         self.readout_bound = sum(
             1.0 if p.t1 is None else math.sqrt(1 + delays) for p in self.system.peaks
         )
+        # peaks grouped by their membership in every selective window that
+        # does not vary with the grid; a window with a placeholder splits none
+        varied = {k for k, key, _ in self.slots if key in ("target_offset", "tolerance")}
+        windows = [
+            e
+            for k, e in enumerate(self.sequence.elements)
+            if isinstance(e, SelectivePulse) and k not in varied
+        ]
+        groups = {}
+        for k, p in enumerate(self.system.peaks):
+            membership = tuple(bool(_in_window(p.offset, e.target_offset, e.tolerance)) for e in windows)
+            groups.setdefault(membership, []).append(k)
+        self.groups = [(ks, SpinSystem([self.system.peaks[k] for k in ks])) for ks in groups.values()]
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceTemplate":
@@ -478,7 +512,14 @@ class SequenceTemplate:
         least one point.  Every grid value is checked before the first tile.
         Each slot is held as a column along its axis, (n, 1, 1) for $A and
         (m, 1) for $B, and sliced per tile, so both broadcast over the tile's
-        (rows, columns, peaks) arrays."""
+        (rows, columns, peaks) arrays.
+
+        Each tile runs ``run_steps`` once per group of ``groups``, whose
+        state grows only along the axes that the steps selecting its peaks
+        vary: a selective pulse with a constant window is skipped in the
+        groups it leaves out.  The x of every group is summed peak by peak
+        in the listed peak order, starting from 0.0, so a readout is the
+        same to the last bit as the sum over one run of the whole system."""
         n, m, peaks = len(grid_a), len(grid_b), len(self.system.peaks)
         cols = max(1, min(m, STEP_CELLS // peaks))
         rows = max(1, STEP_CELLS // (cols * peaks))  # one row when cols < m
@@ -493,8 +534,12 @@ class SequenceTemplate:
                 tile = slice(r, min(r + rows, n)), slice(c, min(c + cols, m))
                 for k, key, column, axis in slots:
                     steps[k][1][key] = column[tile[axis]]
-                x, _, _ = run_steps(self.system, steps, (tile[0].stop - r, tile[1].stop - c))
-                yield tile, sum(np.moveaxis(x, -1, 0), 0.0)  # peak by peak, like read_mx
+                x = [None] * peaks
+                for ks, system in self.groups:
+                    xs, _, _ = run_steps(system, steps, (tile[0].stop - r, tile[1].stop - c))
+                    for k, column in zip(ks, np.moveaxis(xs, -1, 0)):
+                        x[k] = column
+                yield tile, sum(x, 0.0)  # peak by peak in listed order, like read_mx
 
     def readouts(self, grid_a, grid_b) -> np.ndarray:
         """Summed x readout at every grid point, shape (len(grid_a),

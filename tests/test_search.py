@@ -26,6 +26,7 @@ from spinlogic.spinsim import (
 )
 from spinlogic.ternary import encode, multiplication
 from spin_reference import apply_element, at_equilibrium
+import spin_reference
 
 TRIPLE = (math.pi / 2, math.pi, 3 * math.pi / 2)
 
@@ -639,6 +640,24 @@ def test_readouts_trace_at_most_64_bytes_per_point_peak():
     assert traced_bytes_per_point_peak(single_pulse_template(), grid, grid) <= 64
 
 
+def test_readouts_keep_the_peaks_a_window_leaves_out_off_the_grid():
+    # the 64-byte test's three peaks: the $B pulse selects only the middle
+    # one, so the outer two run as a group of (rows, 1) points
+    tpl = SequenceTemplate(
+        t1_sequence_document(3)
+        | {
+            "peaks": [
+                {"label": "p1", "offset_rad_s": 2.0, "t1_s": 1.2},
+                {"label": "p2", "offset_rad_s": 5.0, "t1_s": 0.7},
+                {"label": "p3", "offset_rad_s": 8.0},
+            ]
+        }
+    )
+    grid = [2 * math.pi * k / 99 for k in range(100)]
+    assert traced_bytes_per_point_peak(tpl, grid, grid) <= 32
+    assert [ks for ks, _ in tpl.groups] == [[0, 2], [1]]
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 9, 23])
 @pytest.mark.parametrize("size", [1, 2, 7, 10**6])
 def test_triples_are_the_combinations_in_chunks(n, size):
@@ -868,6 +887,60 @@ def test_readouts_match_the_stepwise_reference(document, grid_a, grid_b):
     for i, a in enumerate(grid_a):
         for j, b in enumerate(grid_b):
             assert abs(values[i, j] - stepwise_readout(document, a, b)) <= 1e-12
+
+
+@st.composite
+def windowed_templates(draw):
+    """A template document of 1-6 peaks, some with T1, whose sequence is a
+    hard pulse of flip angle $A followed, in drawn order, by 1-3 selective
+    pulses with constant windows that hit none, some or all of the peaks,
+    one selective pulse centred at $B, and delays; the constant windows'
+    phases are constants or $B."""
+    peak = st.tuples(st.floats(-5.0, 5.0), st.none() | st.floats(0.1, 5.0))
+    peaks = draw(st.lists(peak, min_size=1, max_size=6))
+    angle = st.floats(-7.0, 7.0)
+    target = st.sampled_from([offset for offset, _ in peaks]) | st.floats(-5.0, 5.0)
+    windows = [
+        {
+            "type": "selective_pulse", "beta": draw(angle), "phi": draw(st.just("$B") | angle),
+            "target_offset": draw(target), "tolerance": draw(st.sampled_from([1e-3, 1.0, 100.0])),
+        }
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    centred = {"type": "selective_pulse", "beta": draw(angle), "phi": draw(angle),
+               "target_offset": "$B", "tolerance": draw(st.sampled_from([1e-3, 1.0, 100.0]))}
+    delays = [{"type": "delay", "tau": draw(st.floats(0.0, 3.0))} for _ in range(draw(st.integers(0, 3)))]
+    return {
+        "peaks": [
+            {"label": f"p{k}", "offset_rad_s": offset, **({"t1_s": t1} if t1 is not None else {})}
+            for k, (offset, t1) in enumerate(peaks)
+        ],
+        "sequence": [{"type": "hard_pulse", "beta": "$A", "phi": draw(angle)}]
+        + draw(st.permutations(windows + [centred] + delays)),
+    }
+
+
+def full_array_readouts(document, grid_a, grid_b):
+    """The template's readouts from one run of the whole system on full
+    (rows, columns, peaks) arrays, summed peak by peak in listed order."""
+    system, sequence, slots = spinsim.document_from_dict(document)
+    steps = [(type(e), e._asdict()) for e in sequence.elements]
+    columns = {"$A": np.reshape(grid_a, (-1, 1, 1)), "$B": np.reshape(grid_b, (-1, 1))}
+    for k, key, name in slots:
+        steps[k][1][key] = columns[name]
+    x, _, _ = spin_reference.run_steps(system, steps, (len(grid_a), len(grid_b)))
+    return sum(np.moveaxis(x, -1, 0), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windowed_templates(), st.lists(st.floats(0.01, 7.0), min_size=1, max_size=5),
+       st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5))
+def test_grouped_readouts_equal_the_whole_system_bit_for_bit(document, grid_a, grid_b):
+    tpl = SequenceTemplate(document)
+    constant = sum(e["target_offset"] != "$B" for e in document["sequence"] if e["type"] == "selective_pulse")
+    assert len(tpl.groups) <= min(len(document["peaks"]), 2**constant)
+    assert sorted(k for ks, _ in tpl.groups for k in ks) == list(range(len(document["peaks"])))
+    assert np.array_equal(tpl.readouts(grid_a, grid_b), full_array_readouts(document, grid_a, grid_b))
 
 
 @pytest.mark.parametrize(

@@ -382,3 +382,19 @@ def test_run_steps_raises_when_a_precession_angle_overflows():
         with pytest.raises(ValueError, match="not finite"):
             run(system, steps, (1, 2))
     assert np.isfinite(run_steps(system, steps[:1], (1, 2))[0]).all()
+
+
+def test_a_window_that_selects_no_peak_keeps_the_state_off_the_grid():
+    system = SpinSystem((Peak("A", 1.0, t1=1.0), Peak("B", 2.0)))
+    steps = [
+        (HardPulse, {"beta": np.array([0.5, 1.0, 1.5]).reshape(-1, 1, 1), "phi": 0.3}),
+        (Delay, {"tau": 0.2}),
+        (SelectivePulse, {"beta": 1.2, "phi": np.linspace(0.0, 6.0, 5).reshape(-1, 1),
+                          "target_offset": 10.0, "tolerance": 1.0}),
+    ]
+    for target, stride in ((10.0, 0), (2.0, 16)):  # no peak, then peak B
+        steps[-1][1]["target_offset"] = target
+        got = run_steps(system, steps, (3, 5))
+        expected = spin_reference.run_steps(system, steps, (3, 5))
+        assert got[0].strides[1] == stride  # 0: one state for every $B value
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
