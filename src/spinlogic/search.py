@@ -320,10 +320,10 @@ def hit_rows(
                 i, j = np.minimum(i, j), np.maximum(i, j)
                 j, k = np.minimum(j, k), np.maximum(j, k)
                 i, j = np.minimum(i, j), np.maximum(i, j)
-                rows = np.empty((len(col), 7), dtype=np.int32)
-                rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3:6] = i, j, k, b[col]
-                rows[:, 6] = codes[rows[:, :3], col[:, None]] @ _CODES ** np.arange(3)
-                found.append(rows)
+                rows = np.empty((7, len(col)), dtype=np.int32)  # column-major, one transpose
+                rows[0], rows[1], rows[2], rows[3:6] = i, j, k, b[col].T
+                rows[6] = _CODES ** np.arange(3) @ codes[rows[:3], col]
+                found.append(rows.T)
     found = np.concatenate(found)
     if walked is not digits:  # swap the triples back and transpose each table:
         # digit 3*row + column of a function index moves to 3*column + row

@@ -12,13 +12,13 @@ not modeled; readout happens at acquisition start, before any decay would
 matter for the logic experiments simulated here.
 
 Readout models the integral of the frequency-domain signal as the plain sum
-of per-peak transverse components.  :func:`run_steps` is the one element
-loop behind every simulation.  It runs a whole (rows, columns) grid of
-copies of a system at once, on a state that starts as one vector per peak
-and grows only along the grid axes that a step's values vary, and it writes
-each element's rotation or precession into preallocated arrays in a fixed
-operation order, so a readout is the same to the last bit whatever the grid
-it is part of.
+of per-peak transverse components.  Peaks never couple, so :func:`run_peak`,
+the one element loop behind every simulation, runs one peak at a time, over
+a whole (rows, columns) grid of copies at once.  Its state starts as one
+equilibrium vector and grows only along the grid axes whose values reach the
+peak, and it writes each element's rotation or precession into preallocated
+arrays in a fixed operation order, so a readout is the same to the last bit
+whatever the grid it is part of.
 
 Systems and sequences are read from JSON documents (schema below) by
 :func:`document_from_dict`, the one reader, in a single walk that also
@@ -27,9 +27,9 @@ reports the placeholder slots of a template; nothing serializes them back.
 A sequence template (:class:`SequenceTemplate`) is such a document in which
 numeric fields of sequence elements may be the placeholder strings "$A" or
 "$B".  Its readouts on a grid of ($A, $B) values come from one walk over the
-grid in tiles of at most STEP_CELLS point-peaks, each tile one call of
-:func:`run_steps` per group of peaks that its constant selective windows
-select alike; the search layer quantizes them into logic tables.
+grid in tiles of at most STEP_CELLS // 4 points, each tile one call of
+:func:`run_peak` per peak; the search layer quantizes them into logic
+tables.
 """
 
 from __future__ import annotations
@@ -155,19 +155,20 @@ class PulseSequence(CheckedTuple, namedtuple("PulseSequence", "elements")):
         return tuple.__new__(cls, (tuple(elements),))
 
 
-def _rotate(x, y, z, beta, phi, window=()):
+def _rotate(x, y, z, beta, phi, window=True):
     # Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0):
     #   nx = x*c + ky*z*s + kx*dot*t,  ny = y*c - kx*z*s + ky*dot*t,
     #   nz = z*c + (kx*y - ky*x)*s,    dot = kx*x + ky*y,  t = 1 - c,
     # each product and difference taken in that order, so every bit equals
     # the expressions'; only sums of two terms swap sides, which is exact.
     # It writes three new arrays of the broadcast shape of the state, the
-    # angles and a selective pulse's ``window``, with one scratch array: ny
-    # holds dot until ny's own terms, and nz is scratch until its turn.
+    # angles and ``window``, the points that a selective pulse moved by the
+    # grid rotates, with one scratch array: ny holds dot until ny's own terms,
+    # and nz is scratch until its turn.
     kx, ky = np.cos(phi), np.sin(phi)
     c, s = np.cos(beta), np.sin(beta)
     t = 1.0 - c
-    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, np.shape(kx), np.shape(c), window)
+    shape = np.broadcast(x, y, z, kx, c, window).shape
     nx, ny, nz, e = (np.empty(shape) for _ in range(4))
     dot = np.multiply(kx, x, out=ny)
     dot += np.multiply(ky, y, out=e)
@@ -198,93 +199,74 @@ _exp = np.vectorize(math.exp, otypes=[float])
 
 
 def _evolve(x, y, z, offset, tau, t1):
-    # Precession about z by offset*tau, x*c - y*s and x*s + y*c; mz recovers
-    # as 1 + (z - 1)*exp(-tau/t1) where t1 is finite and is z itself where
-    # it is not.  Three new arrays, the scratch array of mx and my becoming
-    # mz, whose T1 peaks are recovered in a copy gathered by index: a masked
-    # ufunc (where=) was several times slower when T1 and T1-free peaks
-    # alternate.
+    # Precession about z by offset*tau, x*c - y*s and x*s + y*c, into two new
+    # arrays with one scratch array; mz is z itself without T1, and with it
+    # the scratch array becomes mz, recovered as 1 + (z - 1)*exp(-tau/t1).
     angle = offset * tau
     c, s = np.cos(angle), np.sin(angle)
-    shape = np.broadcast_shapes(x.shape, y.shape, z.shape, c.shape)
+    shape = np.broadcast(x, y, z, c).shape
     nx, ny, e = (np.empty(shape) for _ in range(3))
     np.multiply(x, c, out=nx)
     nx -= np.multiply(y, s, out=e)
     np.multiply(x, s, out=ny)
     ny += np.multiply(y, c, out=e)
-    relaxing = np.flatnonzero(np.isfinite(t1))
-    if not len(relaxing):
+    if t1 is None:
         return nx, ny, z
-    decay = _exp(-tau / t1)[..., relaxing]
-    np.copyto(e, z)
-    recovered = e[..., relaxing]
-    recovered -= 1.0
-    recovered *= decay
-    recovered += 1.0
-    e[..., relaxing] = recovered
+    np.subtract(z, 1.0, out=e)
+    e *= _exp(-tau / t1)
+    e += 1.0
     return nx, ny, e
 
 
-def _in_window(offset, target_offset, tolerance):
-    """Which peaks of ``offset`` a selective pulse rotates."""
-    return np.abs(offset - target_offset) < tolerance
-
-
-def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
-    """The element loop behind every simulation: one copy of the system per
-    cell of a grid of ``shape``, such as (rows, columns), starts from
+def run_peak(peak: Peak, steps):
+    """The element loop behind every simulation: one peak starts from
     equilibrium and goes through ``steps``, pairs of an element class and a
-    mapping of its field names to values.  A value is a float shared by every
-    cell or an array that broadcasts against ``shape + (peaks,)``: on a
-    (rows, columns) grid, an (m, 1) column varies along the columns and a
-    (rows, 1, 1) slice along the rows.  Each sine, cosine and exponential
-    runs once per value it is given, not once per cell.
+    mapping of its field names to values.  A value is a float or an array
+    that broadcasts against a grid: on a (rows, columns) grid, an (n, 1)
+    column varies along the rows and an (m,) one along the columns.  Each
+    sine, cosine and exponential runs once per value it is given, not once
+    per grid point.
 
-    The state grows only along the axes that a step varies: it starts as
-    one equilibrium vector per peak, shape (peaks,), and each step writes
-    arrays of the broadcast shape of the state and the step's values, so the
-    steps before a column value enters run on (rows, 1, peaks).  A step
-    allocates its three output arrays and one scratch array of that shape,
-    and a delay a copy of the T1 peaks' mz; a delay keeps mz as it is when
-    no peak has a T1.  A selective pulse whose window selects none of the
-    system's peaks is skipped, so the state does not grow along its values;
-    the readout walk of :class:`SequenceTemplate` uses this by running each
-    group of peaks that the constant windows select alike as a system of
-    its own.  Returns the x, y and z components as read-only
-    ``shape + (peaks,)`` broadcast views of the final state, checked finite
-    before they are broadcast."""
-    offset = np.array([p.offset for p in s.peaks])
-    t1 = np.array([p.t1 or math.inf for p in s.peaks])  # t1 is positive when set
-    x = y = np.zeros(len(offset))
-    z = np.ones(len(offset))
+    Peaks never couple, so a system is simulated peak by peak.  The state
+    starts as 0-d equilibrium arrays and grows only along the axes whose
+    values reach this peak: each step writes arrays of the broadcast shape
+    of the state and its values, three outputs and one scratch array, and a
+    delay keeps mz as it is when the peak has no T1.  A selective pulse
+    whose window misses the peak is skipped and one whose window holds it
+    is a hard pulse; only a window that the grid moves (a placeholder in
+    ``target_offset`` or ``tolerance``) rotates on its own shape and puts
+    the grid points outside it back.  Returns x, y and z, checked finite,
+    each broadcasting against the grid."""
+    x = y = np.zeros(())
+    z = np.ones(())
     with np.errstate(over="ignore", invalid="ignore"):
         for kind, v in steps:
             if kind is HardPulse:
                 x, y, z = _rotate(x, y, z, v["beta"], v["phi"])
             elif kind is SelectivePulse:
-                hit = _in_window(offset, v["target_offset"], v["tolerance"])
-                if not hit.any():
-                    continue  # a window that selects no peak leaves the state as it is
-                rotated = _rotate(x, y, z, v["beta"], v["phi"], hit.shape)
-                for r, m in zip(rotated, (x, y, z)):
-                    np.copyto(r, m, where=~hit)  # peaks outside the window keep m
-                x, y, z = rotated
+                hit = np.abs(peak.offset - v["target_offset"]) < v["tolerance"]
+                if hit.all():
+                    x, y, z = _rotate(x, y, z, v["beta"], v["phi"])
+                elif hit.any():
+                    rotated = _rotate(x, y, z, v["beta"], v["phi"], hit)
+                    for r, m in zip(rotated, (x, y, z)):
+                        np.copyto(r, m, where=~hit)  # grid points outside the window keep m
+                    x, y, z = rotated
             elif kind is Delay:
-                x, y, z = _evolve(x, y, z, offset, v["tau"], t1)
+                x, y, z = _evolve(x, y, z, peak.offset, v["tau"], peak.t1)
             else:
                 raise TypeError(f"unknown sequence element type {kind!r}")
     if not all(np.isfinite(c).all() for c in (x, y, z)):
         raise ValueError("magnetization is not finite: a precession angle offset*tau overflows")
-    shape = (*shape, len(offset))
-    return tuple(np.broadcast_to(c, shape) for c in (x, y, z))
+    return x, y, z
 
 
 def run_sequence(s: SpinSystem, seq: PulseSequence) -> SpinSystem:
     """Apply the sequence starting from equilibrium: the relaxation delay
     preceding every real experiment is modeled as an exact reset of every
     peak to (0, 0, 1)."""
-    x, y, z = run_steps(s, [(type(e), e._asdict()) for e in seq.elements])
-    return SpinSystem(tuple(p._replace(m=Magnetization(*m)) for p, m in zip(s.peaks, zip(x, y, z))))
+    steps = [(type(e), e._asdict()) for e in seq.elements]
+    return SpinSystem(tuple(p._replace(m=Magnetization(*run_peak(p, steps))) for p in s.peaks))
 
 
 def read_mx(s: SpinSystem) -> float:
@@ -395,21 +377,21 @@ def document_from_dict(
 
 # Cells per step of every grid walk, the readout walk here and the b-triple
 # walks of the search layer, each of which sizes its step from the grid shape:
-# point-peaks of a readout tile, whole rows or, when one row alone is over
-# budget, part of a row; per b-triple, rows plus 27*27 cells, which keep each
-# corner product of the class count within this many multiply-adds;
-# (b-triple, target cell) counts per hit-search block and ranks per chunk of
-# its expansion.  A readout tile peaks at 6.5 to 22 MB of float64 arrays
-# (tracemalloc).  Per point-peak, the built-in templates take 25 to 33 bytes
-# when a tile holds several rows and 73 to 84 on one-row tiles (21 MB on a
-# 4x250000 single-pulse grid).  The benchmark's T1 template, whose $B pulse
-# selects one of 3 peaks, takes 22 on a 100x100 tile; on 300 peaks, of which
-# the pulse selects 85, it takes 16.5 on a 3x10000 grid, as its walk holds
-# the last tile's x and z while it simulates the next.  A class-count or
-# hit-search step peaks at a few MB: 6.5 MB for the counts of a 30x30 grid
-# against all 3,654 target cells, 409 KB on a 14x14 grid against the
-# constant class, whose steps of 352 b-triples are the largest a hit search
-# takes.
+# a readout tile holds STEP_CELLS // 4 points, whole rows or, when one row
+# alone is over budget, part of a row, so one peak's three state arrays and
+# its scratch array stay within STEP_CELLS floats; per b-triple, rows plus
+# 27*27 cells, which keep each corner product of the class count within this
+# many multiply-adds; (b-triple, target cell) counts per hit-search block and
+# ranks per chunk of its expansion.  A full readout tile peaks at 2.2 to 3.7
+# MB of float64 arrays (tracemalloc), 34 to 56 bytes per tile point whatever
+# the number of peaks.  Per grid point, output included, ``readouts`` takes
+# 18.3 to 18.6 bytes on 512x512 single- and two-pulse grids, 13.7 on a
+# 4x250000 single-pulse grid, 11.7 at 1000x1000 for 3 T1 peaks of which a
+# $B pulse selects one, and 67 with 300 peaks on 3x10000, one tile.  A
+# class-count or hit-search step peaks at a few MB: 6.5 MB for the counts of
+# a 30x30 grid against all 3,654 target cells, 409 KB on a 14x14 grid
+# against the constant class, whose steps of 352 b-triples are the largest a
+# hit search takes.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -442,14 +424,7 @@ class SequenceTemplate:
     transverse component per peak, each at most the peak's norm.  Pulses and
     precession preserve that norm and a T1 delay, moving mz toward 1, raises
     its square by at most 1, so a peak without T1 contributes 1 and a peak
-    with T1 in a sequence of d delays sqrt(1 + d).
-
-    ``groups`` splits the peaks by their membership in every selective
-    pulse whose ``target_offset`` and ``tolerance`` are both constants, as
-    (peak positions, spin system of those peaks) pairs in order of first
-    peak; peaks in one group are selected by the same constant windows.  A
-    window with a placeholder depends on the grid and splits no group.
-    With w constant windows there are at most min(peaks, 2**w) groups."""
+    with T1 in a sequence of d delays sqrt(1 + d)."""
 
     def __init__(self, document: dict):
         self.system, self.sequence, self.slots = document_from_dict(document)
@@ -463,19 +438,6 @@ class SequenceTemplate:
         self.readout_bound = sum(
             1.0 if p.t1 is None else math.sqrt(1 + delays) for p in self.system.peaks
         )
-        # peaks grouped by their membership in every selective window that
-        # does not vary with the grid; a window with a placeholder splits none
-        varied = {k for k, key, _ in self.slots if key in ("target_offset", "tolerance")}
-        windows = [
-            e
-            for k, e in enumerate(self.sequence.elements)
-            if isinstance(e, SelectivePulse) and k not in varied
-        ]
-        groups = {}
-        for k, p in enumerate(self.system.peaks):
-            membership = tuple(bool(_in_window(p.offset, e.target_offset, e.tolerance)) for e in windows)
-            groups.setdefault(membership, []).append(k)
-        self.groups = [(ks, SpinSystem([self.system.peaks[k] for k in ks])) for ks in groups.values()]
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceTemplate":
@@ -507,25 +469,24 @@ class SequenceTemplate:
         """The one walk over the grid: (tile, values) for each tile in
         row-major order, ``tile`` a pair of slices of grid_a and grid_b and
         ``values`` its summed x readouts.  A tile holds whole rows of at most
-        STEP_CELLS point-peaks; only a row that alone is over budget is split,
-        into tiles of STEP_CELLS // peaks points, and a tile always holds at
-        least one point.  Every grid value is checked before the first tile.
-        Each slot is held as a column along its axis, (n, 1, 1) for $A and
-        (m, 1) for $B, and sliced per tile, so both broadcast over the tile's
-        (rows, columns, peaks) arrays.
+        STEP_CELLS // 4 points, whatever the number of peaks, so one peak's
+        three state arrays and its scratch array stay within STEP_CELLS
+        floats; only a row that alone is over budget is split, and a tile
+        always holds at least one point.  Every grid value is checked before
+        the first tile.  Each slot is held as a column along its axis, (n, 1)
+        for $A and (m,) for $B, and sliced per tile, so both broadcast over
+        the tile's (rows, columns) points.
 
-        Each tile runs ``run_steps`` once per group of ``groups``, whose
-        state grows only along the axes that the steps selecting its peaks
-        vary: a selective pulse with a constant window is skipped in the
-        groups it leaves out.  The x of every group is summed peak by peak
-        in the listed peak order, starting from 0.0, so a readout is the
-        same to the last bit as the sum over one run of the whole system."""
-        n, m, peaks = len(grid_a), len(grid_b), len(self.system.peaks)
-        cols = max(1, min(m, STEP_CELLS // peaks))
-        rows = max(1, STEP_CELLS // (cols * peaks))  # one row when cols < m
+        Each tile runs ``run_peak`` once per peak and sums the x of the peaks
+        in the listed order, starting from 0.0, like ``read_mx``; the sum
+        grows only along the axes that reach some peak and is broadcast to
+        the tile shape when it is yielded."""
+        n, m = len(grid_a), len(grid_b)
+        cols = max(1, min(m, STEP_CELLS // 4))
+        rows = max(1, STEP_CELLS // 4 // cols)  # one row when cols < m
         slots = [
             (k, key, np.reshape(v, column), axis)
-            for axis, name, grid, column in ((0, "$A", grid_a, (-1, 1, 1)), (1, "$B", grid_b, (-1, 1)))
+            for axis, name, grid, column in ((0, "$A", grid_a, (-1, 1)), (1, "$B", grid_b, (-1,)))
             for k, key, v in self._checked(name, grid)
         ]
         steps = [(type(e), e._asdict()) for e in self.sequence.elements]
@@ -534,12 +495,10 @@ class SequenceTemplate:
                 tile = slice(r, min(r + rows, n)), slice(c, min(c + cols, m))
                 for k, key, column, axis in slots:
                     steps[k][1][key] = column[tile[axis]]
-                x = [None] * peaks
-                for ks, system in self.groups:
-                    xs, _, _ = run_steps(system, steps, (tile[0].stop - r, tile[1].stop - c))
-                    for k, column in zip(ks, np.moveaxis(xs, -1, 0)):
-                        x[k] = column
-                yield tile, sum(x, 0.0)  # peak by peak in listed order, like read_mx
+                total = 0.0
+                for p in self.system.peaks:
+                    total = total + run_peak(p, steps)[0]
+                yield tile, np.broadcast_to(total, (tile[0].stop - r, tile[1].stop - c))
 
     def readouts(self, grid_a, grid_b) -> np.ndarray:
         """Summed x readout at every grid point, shape (len(grid_a),

@@ -2,7 +2,7 @@
 kernel: the rotation and precession formulas written as plain array
 expressions, the element loop on fully built (rows, columns, peaks) arrays,
 and a stepwise form that applies one element to one frozen spin system at a
-time, peak by peak.  Tests hold ``run_steps`` and ``run_sequence`` to it, bit
+time, peak by peak.  Tests hold ``run_peak`` and ``run_sequence`` to it, bit
 for bit where the arithmetic is the same, and check the formulas on states
 other than equilibrium through it."""
 
@@ -47,14 +47,17 @@ def evolve(x, y, z, offset, tau, t1):
 
 def run_steps(s: SpinSystem, steps, shape: tuple[int, ...] = ()):
     """The element loop on full ``shape + (peaks,)`` arrays from the first
-    step on: every element builds whole new arrays, and a selective pulse
-    picks between the rotated and the unrotated state with ``np.where``."""
+    step on: a step value, a float or an array that broadcasts against
+    ``shape``, gets a trailing peak axis, every element builds whole new
+    arrays, and a selective pulse picks between the rotated and the
+    unrotated state with ``np.where``."""
     offset = np.array([p.offset for p in s.peaks])
     t1 = np.array([p.t1 or math.inf for p in s.peaks])
     shape = (*shape, len(offset))
     state = np.zeros(shape), np.zeros(shape), np.ones(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for kind, v in steps:
+        for kind, fields in steps:
+            v = {key: value[..., None] if np.ndim(value) else value for key, value in fields.items()}
             if kind is HardPulse:
                 state = rotate(*state, v["beta"], v["phi"])
             elif kind is SelectivePulse:

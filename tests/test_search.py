@@ -564,22 +564,23 @@ def test_tiles_stay_within_the_budget_and_cover_the_grid_in_row_major_order(monk
     grids = [(grid_a, grid_b), ([], grid_b), (grid_a, [])]
     expected = [tpl.readouts(a, b) for a, b in grids]
     calls = []
-    run_steps = spinsim.run_steps
+    run_peak = spinsim.run_peak
 
-    def recording_run_steps(system, steps, shape):
-        rows, cols = shape
-        # a $A value is a (rows, 1, 1) slice and a $B value a (cols, 1) one
-        assert {np.shape(v) for _, fields in steps for v in fields.values()} <= {(), (rows, 1, 1), (cols, 1)}
-        calls.append(shape)
-        return run_steps(system, steps, shape)
+    def recording_run_peak(peak, steps):
+        # the $A slot is the hard pulse's beta and the $B slot the selective pulse's phi
+        rows, cols = len(steps[0][1]["beta"]), len(steps[2][1]["phi"])
+        # a $A value is a (rows, 1) column and a $B value a (cols,) row
+        assert {np.shape(v) for _, fields in steps for v in fields.values()} <= {(), (rows, 1), (cols,)}
+        calls.append((rows, cols))
+        return run_peak(peak, steps)
 
     monkeypatch.setattr(spinsim, "STEP_CELLS", step_cells)
-    monkeypatch.setattr(spinsim, "run_steps", recording_run_steps)
-    # at 64 cells a row of 25 points times 3 peaks is split into 21 and 4 points
+    monkeypatch.setattr(spinsim, "run_peak", recording_run_peak)
+    # at 64 cells a tile holds 16 points, so a row of 25 is split into 16 and 9
     tiles = [tile for tile, _ in tpl._tiles(grid_a, grid_b)]
-    assert all(rows * cols * 3 <= max(step_cells, 3) for rows, cols in calls)
+    assert all(rows * cols <= max(step_cells // 4, 1) for rows, cols in calls)
     index = np.arange(7 * 25).reshape(7, 25)
-    assert calls == [index[tile].shape for tile in tiles]
+    assert calls == [index[tile].shape for tile in tiles for _ in range(3)]
     assert np.concatenate([index[tile].ravel() for tile in tiles]).tolist() == list(range(7 * 25))
     for (a, b), values in zip(grids, expected):
         got = tpl.readouts(a, b)
@@ -600,8 +601,8 @@ def test_many_peak_readouts_split_long_rows():
     assert peak < 40e6
 
 
-def traced_bytes_per_point_peak(template, grid_a, grid_b):
-    """Peak traced bytes of ``readouts`` per point-peak of the grid."""
+def traced_bytes_per_point(template, grid_a, grid_b):
+    """Peak traced bytes of ``readouts`` per point of the grid."""
     template.readouts(grid_a[:1], grid_b[:1])  # lazy set-up outside the trace
     tracemalloc.start()
     try:
@@ -609,7 +610,12 @@ def traced_bytes_per_point_peak(template, grid_a, grid_b):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (len(grid_a) * len(grid_b) * len(template.system.peaks))
+    return peak / (len(grid_a) * len(grid_b))
+
+
+def traced_bytes_per_point_peak(template, grid_a, grid_b):
+    """Peak traced bytes of ``readouts`` per point-peak of the grid."""
+    return traced_bytes_per_point(template, grid_a, grid_b) / len(template.system.peaks)
 
 
 def test_readouts_trace_at_most_64_bytes_per_point_peak():
@@ -633,7 +639,7 @@ def test_readouts_trace_at_most_64_bytes_per_point_peak():
     )
     grid = [2 * math.pi * k / 99 for k in range(100)]
     assert traced_bytes_per_point_peak(three_peaks, grid, grid) <= 64
-    # one single-pulse tile of exactly STEP_CELLS point-peaks, output included
+    # a single-pulse grid of exactly STEP_CELLS points, in four tiles, output included
     side = math.isqrt(spinsim.STEP_CELLS)
     grid = [2 * math.pi * k / (side - 1) for k in range(side)]
     assert side * side == spinsim.STEP_CELLS
@@ -642,7 +648,7 @@ def test_readouts_trace_at_most_64_bytes_per_point_peak():
 
 def test_readouts_keep_the_peaks_a_window_leaves_out_off_the_grid():
     # the 64-byte test's three peaks: the $B pulse selects only the middle
-    # one, so the outer two run as a group of (rows, 1) points
+    # one, so the outer two run on (rows, 1) points
     tpl = SequenceTemplate(
         t1_sequence_document(3)
         | {
@@ -655,7 +661,24 @@ def test_readouts_keep_the_peaks_a_window_leaves_out_off_the_grid():
     )
     grid = [2 * math.pi * k / 99 for k in range(100)]
     assert traced_bytes_per_point_peak(tpl, grid, grid) <= 32
-    assert [ks for ks, _ in tpl.groups] == [[0, 2], [1]]
+
+
+def test_many_peak_readouts_trace_at_most_90_bytes_per_point():
+    # a tile holds at most STEP_CELLS // 4 points whatever the peak count,
+    # and the sum over the peaks is one more array; the output alone is 8
+    # bytes per point.  With tiles of STEP_CELLS point-peaks, one 3x873 tile
+    # per 300 peaks, this grid traced 143 bytes per point.
+    tpl = SequenceTemplate(t1_sequence_document(300))
+    grid_b = [2 * math.pi * k / 9999 for k in range(10000)]
+    assert traced_bytes_per_point(tpl, [0.1, 0.2, 0.3], grid_b) <= 90
+
+
+def test_one_row_readout_tiles_trace_at_most_18_bytes_per_point():
+    # a row of 250,000 points is split into tiles of STEP_CELLS // 4 points,
+    # the output alone being 8 bytes per point; in one-row tiles of
+    # STEP_CELLS points this grid traced 28 bytes per point
+    grid_b = [2 * math.pi * k / 249999 for k in range(250000)]
+    assert traced_bytes_per_point(single_pulse_template(), [0.5, 1.5, 2.5, 3.5], grid_b) <= 18
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 9, 23])
@@ -925,7 +948,7 @@ def full_array_readouts(document, grid_a, grid_b):
     (rows, columns, peaks) arrays, summed peak by peak in listed order."""
     system, sequence, slots = spinsim.document_from_dict(document)
     steps = [(type(e), e._asdict()) for e in sequence.elements]
-    columns = {"$A": np.reshape(grid_a, (-1, 1, 1)), "$B": np.reshape(grid_b, (-1, 1))}
+    columns = {"$A": np.reshape(grid_a, (-1, 1)), "$B": np.reshape(grid_b, (-1,))}
     for k, key, name in slots:
         steps[k][1][key] = columns[name]
     x, _, _ = spin_reference.run_steps(system, steps, (len(grid_a), len(grid_b)))
@@ -937,9 +960,6 @@ def full_array_readouts(document, grid_a, grid_b):
        st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5))
 def test_grouped_readouts_equal_the_whole_system_bit_for_bit(document, grid_a, grid_b):
     tpl = SequenceTemplate(document)
-    constant = sum(e["target_offset"] != "$B" for e in document["sequence"] if e["type"] == "selective_pulse")
-    assert len(tpl.groups) <= min(len(document["peaks"]), 2**constant)
-    assert sorted(k for ks, _ in tpl.groups for k in ks) == list(range(len(document["peaks"])))
     assert np.array_equal(tpl.readouts(grid_a, grid_b), full_array_readouts(document, grid_a, grid_b))
 
 
@@ -956,7 +976,7 @@ def test_template_rejects_invalid_constants_when_constructed(monkeypatch, elemen
     def no_simulation(*args):
         raise AssertionError("simulated before the template was checked")
 
-    monkeypatch.setattr(spinsim, "run_steps", no_simulation)
+    monkeypatch.setattr(spinsim, "run_peak", no_simulation)
     sequence = [{"type": "hard_pulse", "beta": "$A", "phi": "$B"}, element]
     with pytest.raises(ValueError, match=message):
         SequenceTemplate({"peaks": [{"label": "s", "offset_rad_s": 0.0}], "sequence": sequence})

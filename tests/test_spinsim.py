@@ -19,8 +19,8 @@ from spinlogic.spinsim import (
     document_from_dict,
     read_complex,
     read_mx,
+    run_peak,
     run_sequence,
-    run_steps,
     two_pulse_template,
 )
 from spin_reference import (
@@ -334,9 +334,9 @@ OFFSETS = st.floats(-5.0, 5.0)
 def kernel_cases(draw):
     """A spin system of 1-4 peaks, some with T1, a (rows, columns) grid and
     1-5 steps whose beta, phi, tau or target_offset is a constant, a
-    (rows, 1, 1) slice varying along the rows or a (columns, 1) column
-    varying along the columns; selective windows hit none, some or all of
-    the peaks."""
+    (rows, 1) column varying along the rows or a (columns,) row varying
+    along the columns; selective windows hit none, some or all of the
+    peaks."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     peaks = draw(st.lists(st.tuples(OFFSETS, st.none() | st.floats(0.1, 5.0)), min_size=1, max_size=4))
     system = SpinSystem(tuple(Peak(f"p{k}", offset, t1=t1) for k, (offset, t1) in enumerate(peaks)))
@@ -347,7 +347,7 @@ def kernel_cases(draw):
             return draw(values)
         size = rows if axis == "rows" else cols
         column = np.array(draw(st.lists(values, min_size=size, max_size=size)))
-        return column.reshape(-1, 1, 1) if axis == "rows" else column.reshape(-1, 1)
+        return column.reshape(-1, 1) if axis == "rows" else column
 
     angle, tau = st.floats(-7.0, 7.0), st.floats(0.0, 3.0)
     target = st.sampled_from([p.offset for p in system.peaks]) | OFFSETS
@@ -366,35 +366,40 @@ def kernel_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
-def test_run_steps_equals_the_full_array_reference_bit_for_bit(case):
+def test_run_peak_equals_the_full_array_reference_bit_for_bit(case):
     system, steps, shape = case
-    got = run_steps(system, steps, shape)
     expected = spin_reference.run_steps(system, steps, shape)
-    for g, e in zip(got, expected):
-        assert g.shape == e.shape == (*shape, len(system.peaks))
-        assert np.array_equal(g, e)
+    for k, peak in enumerate(system.peaks):
+        for g, e in zip(run_peak(peak, steps), expected):
+            assert np.broadcast_shapes(np.shape(g), shape) == shape
+            assert np.array_equal(np.broadcast_to(g, shape), e[..., k])
 
 
-def test_run_steps_raises_when_a_precession_angle_overflows():
-    system = SpinSystem((Peak("A", 10.0), Peak("B", 1.0, t1=1.0)))
-    steps = [(HardPulse, {"beta": 1.0, "phi": 0.0}), (Delay, {"tau": np.array([[1.0], [1e308]])})]
-    for run in (run_steps, spin_reference.run_steps):
-        with pytest.raises(ValueError, match="not finite"):
-            run(system, steps, (1, 2))
-    assert np.isfinite(run_steps(system, steps[:1], (1, 2))[0]).all()
+def test_run_peak_raises_when_a_precession_angle_overflows():
+    a, b = Peak("A", 10.0), Peak("B", 1.0, t1=1.0)
+    steps = [(HardPulse, {"beta": 1.0, "phi": 0.0}), (Delay, {"tau": np.array([1.0, 1e308])})]
+    with pytest.raises(ValueError, match="not finite"):
+        spin_reference.run_steps(SpinSystem((a, b)), steps, (1, 2))
+    # 10 * 1e308 overflows, 1 * 1e308 does not
+    with pytest.raises(ValueError, match="not finite"):
+        run_peak(a, steps)
+    assert all(np.isfinite(c).all() for c in run_peak(b, steps))
+    assert np.isfinite(run_peak(a, steps[:1])[0]).all()
 
 
 def test_a_window_that_selects_no_peak_keeps_the_state_off_the_grid():
     system = SpinSystem((Peak("A", 1.0, t1=1.0), Peak("B", 2.0)))
     steps = [
-        (HardPulse, {"beta": np.array([0.5, 1.0, 1.5]).reshape(-1, 1, 1), "phi": 0.3}),
+        (HardPulse, {"beta": np.array([0.5, 1.0, 1.5]).reshape(-1, 1), "phi": 0.3}),
         (Delay, {"tau": 0.2}),
-        (SelectivePulse, {"beta": 1.2, "phi": np.linspace(0.0, 6.0, 5).reshape(-1, 1),
+        (SelectivePulse, {"beta": 1.2, "phi": np.linspace(0.0, 6.0, 5),
                           "target_offset": 10.0, "tolerance": 1.0}),
     ]
-    for target, stride in ((10.0, 0), (2.0, 16)):  # no peak, then peak B
+    for target, selected in ((10.0, ()), (2.0, ("B",))):  # no peak, then peak B
         steps[-1][1]["target_offset"] = target
-        got = run_steps(system, steps, (3, 5))
         expected = spin_reference.run_steps(system, steps, (3, 5))
-        assert got[0].strides[1] == stride  # 0: one state for every $B value
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        for k, peak in enumerate(system.peaks):
+            got = run_peak(peak, steps)
+            # one state for every $B value, unless the window holds the peak
+            assert all(np.shape(g) == ((3, 5) if peak.label in selected else (3, 1)) for g in got)
+            assert all(np.array_equal(np.broadcast_to(g, (3, 5)), e[..., k]) for g, e in zip(got, expected))
