@@ -10,7 +10,8 @@ Subpackages:
 - :mod:`spinlogic.search` -- quantization, experiment tables, grid search
 - :mod:`spinlogic.complexlogic` -- magnitude/phase continuous logic and the
   NMR encode/decode pipeline
-- :mod:`spinlogic.cli` -- command-line surface
+- :mod:`spinlogic.cli` -- command-line parser and dispatch
+- :mod:`spinlogic.commands` -- one module per CLI command
 """
 
 from .ternary import TernaryFunction, decode, encode, multiplication

@@ -17,7 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlogic
-from spinlogic import cli, npn, pc, search
+from spinlogic import npn, pc, search
+from spinlogic.commands import classify as classify_command
+from spinlogic.commands import search as search_command
+from spinlogic.commands import simulate as simulate_command
 from spinlogic.cli import main
 from spinlogic.search import evaluate_table
 from spinlogic.spinsim import selective_delay_inputs, two_pulse_template
@@ -436,7 +439,7 @@ def classify_report_from_classes(radix):
 
 @pytest.mark.parametrize("radix", [2, 3])
 def test_classify_report_equals_the_report_of_class_objects(radix):
-    report = cli._classify_report(radix)
+    report = classify_command._classify_report(radix)
     assert report == classify_report_from_classes(radix)
     assert report["self_check"] == "pass"
 
@@ -452,7 +455,7 @@ def test_classify_fails_its_self_check_when_a_function_leaves_its_pc_class(monke
         return key
 
     monkeypatch.setattr(pc, "pc_keys", one_function_moved)
-    report = cli._classify_report(radix)
+    report = classify_command._classify_report(radix)
     assert report["pc_consistent"] is False and report["self_check"] == "fail"
     code, out, _ = run(capsys, "classify", "--radix", str(radix), "--format", "json")
     assert code == 1
@@ -475,7 +478,7 @@ def test_classify_fails_its_self_check_when_a_function_changes_class(monkeypatch
     labels = array(original.format, original)
     labels[moved] = into
     monkeypatch.setattr(npn, "canonical_map", lambda radix=3: labels)
-    report = cli._classify_report(3)
+    report = classify_command._classify_report(3)
     assert report["npn_class_count"] == report["burnside_count"] == 84
     assert report["pc_consistent"] is True and report["self_check"] == "fail"
     code, out, _ = run(capsys, "classify", "--radix", "3", "--format", "json")
@@ -513,9 +516,9 @@ def test_cold_classify_report_traces_under_1_5_mb():
     # of every class as Python ints (a 3.8 MB peak when built that way)
     script = (
         "import tracemalloc\n"
-        "from spinlogic import cli\n"
+        "from spinlogic.commands import classify\n"
         "tracemalloc.start()\n"
-        "cli._classify_report(3)\n"
+        "classify._classify_report(3)\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
@@ -705,14 +708,21 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
     # numpy at all, classify no inspect, and no command dataclasses (each
     # dataclass took about 1 ms to build at import).  simulate and complex
     # load the spin layer alone: none of the search or group layers, whose
-    # source a fresh process would compile for nothing.  No command finds a
-    # spinlogic module once numpy has begun to load: a module is compiled
-    # right after it is found, and one compiled after numpy left about 1 MB
-    # more max RSS.
+    # source a fresh process would compile for nothing.  Each command loads
+    # its own command module and none of the other three; a usage error or a
+    # help text loads none.  No command finds a spinlogic module once numpy
+    # has begun to load: a module is compiled right after it is found, and
+    # one compiled after numpy left about 1 MB more max RSS.
     grid = "lin:0:6.283185307179586:8"
     layers = ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]
     numpy_commands = ["numpy.ma", "dataclasses", "spinlogic.complexlogic", "spinlogic.pc"]
     spin_only = ["numpy.ma", "dataclasses", "spinlogic.search", "spinlogic.npn", "spinlogic.pc"]
+    names = ["classify", "simulate", "search", "complex"]
+    no_command = ["spinlogic.commands", *(f"spinlogic.commands.{n}" for n in names)]
+
+    def others(name):
+        return [f"spinlogic.commands.{n}" for n in names if n != name]
+
     template = tmp_path / "template.json"
     template.write_text(
         json.dumps(
@@ -724,24 +734,30 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
         encoding="utf-8",
     )
     commands = [
-        (["classify", "--radix", "3"], 0, ["numpy", "dataclasses", "inspect", *layers]),
-        (["search"], 2, ["numpy", *layers, "spinlogic.pc"]),
+        (["classify", "--radix", "3"], 0,
+         ["numpy", "dataclasses", "inspect", *layers, "spinlogic.commands.grid", *others("classify")]),
+        (["search"], 2, ["numpy", *layers, "spinlogic.pc", *no_command]),
+        *(([name, "--help"], 0, ["numpy", *layers, "spinlogic.npn", "spinlogic.pc", *no_command])
+          for name in names),
         (
             ["search", "--sequence", "single-pulse", "--grid-a", grid, "--grid-b", grid,
              "--target", "multiplication"],
             0,
-            numpy_commands,
+            [*numpy_commands, *others("search")],
         ),
         (["search", "--sequence", "two-pulse", "--grid-a", grid, "--grid-b", grid, "--target", "all"],
-         0, numpy_commands),
+         0, [*numpy_commands, *others("search")]),
         (["simulate", "--sequence", "selective-delay", "--grid-a", grid, "--grid-b", grid], 0,
-         [*spin_only, "spinlogic.complexlogic"]),
+         [*spin_only, "spinlogic.complexlogic", *others("simulate")]),
         (["simulate", "--sequence", str(template), "--grid-a", grid, "--grid-b", grid], 0,
-         [*spin_only, "spinlogic.complexlogic"]),
-        (["complex", "mul", "0.8", "1.0471975511965976", "0.5", "3.141592653589793"], 0, spin_only),
+         [*spin_only, "spinlogic.complexlogic", *others("simulate")]),
+        (["complex", "mul", "0.8", "1.0471975511965976", "0.5", "3.141592653589793"], 0,
+         [*spin_only, "spinlogic.commands.grid", *others("complex")]),
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
     for argv, code, unused in commands:
+        # a run that gets past the parser loads the module of its command
+        used = [] if code or "--help" in argv else [f"spinlogic.commands.{argv[0]}"]
         script = (
             "import contextlib, io, sys\n"
             "late = []\n"
@@ -753,16 +769,38 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
             "from spinlogic.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             f"    assert main({argv!r}) == {code}\n"
-            f"print([m for m in {unused!r} if m in sys.modules], late)\n"
+            f"print([m for m in {unused!r} if m in sys.modules], [m for m in {used!r} if m not in sys.modules], late)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[] []\n", argv
+        assert result.stdout == "[] [] []\n", argv
     # importing the CLI loads no group layer: each command loads its own
     script = "import sys\nimport spinlogic.cli\nprint([m for m in sys.modules if m.startswith('spinlogic.')])\n"
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "['spinlogic.ternary', 'spinlogic.cli']\n"
+
+
+def test_cli_run_as_main_is_not_imported_a_second_time():
+    # under python -m the CLI runs as __main__ (runpy.run_module with
+    # alter_sys does the same); a command module that imported spinlogic.cli
+    # would compile it again as a second module
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['spinlogic', 'classify', '--radix', '2']\n"
+        "try:\n"
+        "    runpy.run_module('spinlogic.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('spinlogic')), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(spinlogic.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == (
+        "0 ['spinlogic', 'spinlogic.commands', 'spinlogic.commands.classify', 'spinlogic.npn',"
+        " 'spinlogic.pc', 'spinlogic.ternary']\n"
+    )
 
 
 # --- hit reports -----------------------------------------------------------------
@@ -823,7 +861,7 @@ def test_streamed_hit_report_equals_the_report_of_hit_objects(grid_a, grid_b, co
             rng.integers(0, 3**9, count),
         )
     ).astype(np.int32)
-    pieces = list(cli._hit_report(rows, grid_a, grid_b, fmt))
+    pieces = list(search_command._hit_report(rows, grid_a, grid_b, fmt))
     assert "".join(pieces) == hit_report_from_objects(rows, grid_a, grid_b, fmt)
     # a few hundred rows per piece, besides the head and the tail
     assert len(pieces) <= 3 + count // 200
@@ -857,7 +895,7 @@ def test_streamed_simulate_report_equals_the_whole_string(grid_a, grid_b, seed, 
         rng.choice(EDGE_VALUES, shape),
         rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape),
     )
-    pieces = list(cli._simulate_report(grid_a, grid_b, values, fmt))
+    pieces = list(simulate_command._simulate_report(grid_a, grid_b, values, fmt))
     assert "".join(pieces) == simulate_report_whole(grid_a, grid_b, values, fmt)
     # one piece per grid row, besides the grids and the closing brackets
     assert len(pieces) == len(grid_a) + {"json": 2, "csv": 1, "table": 0}[fmt]
