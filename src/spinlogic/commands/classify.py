@@ -4,6 +4,7 @@ JSON.  It loads the group layer alone, plain Python without numpy."""
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 from .. import npn, pc
@@ -46,8 +47,8 @@ def _classify_report(radix: int) -> dict:
     # every NPN class lies in exactly one PC class: each canonical occurs with
     # its own key only, so every function shares its canonical's key
     pc_consistent = all(key[c] == k for c, k in pairs)
-    fixed = npn.fixed_point_counts(radix)
-    burnside, order = npn.burnside_count(radix, fixed), len(fixed)
+    # the group order: two input and one output permutation, and the input swap
+    burnside, order = npn.burnside_count(radix), math.factorial(radix) ** 3 * 2
     checks_pass = (
         len(canonicals) == expected_npn
         and len(pc_classes) == expected_pc

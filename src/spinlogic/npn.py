@@ -336,12 +336,9 @@ def fixed_point_counts(radix: int = 3) -> list[int]:
     return counts
 
 
-def burnside_count(radix: int = 3, counts: list[int] | None = None) -> int:
-    """Class count via Burnside's lemma: average number of fixed points.
-    ``counts`` are the :func:`fixed_point_counts` of ``radix`` when a caller
-    already holds them."""
-    if counts is None:
-        counts = fixed_point_counts(radix)
+def burnside_count(radix: int = 3) -> int:
+    """Class count via Burnside's lemma: average number of fixed points."""
+    counts = fixed_point_counts(radix)
     total, order = sum(counts), len(counts)
     quotient, rem = divmod(total, order)
     if rem:

@@ -42,10 +42,10 @@ class Quantizer(CheckedTuple, namedtuple("Quantizer", "epsilon")):
 
 def quantize(x, q: Quantizer = Quantizer(), bound: float = 1.0):
     """Logic value of a readout (an int), or of each one in an array (int8).
-    A readout beyond ``bound`` (plus slack) indicates a simulator contract
-    violation, not a logic value, and is an error."""
+    A readout beyond ``bound`` (plus slack), or NaN, indicates a simulator
+    contract violation, not a logic value, and is an error."""
     x = np.asarray(x, dtype=float)
-    over = np.abs(x) > bound + RAW_SLACK
+    over = ~(np.abs(x) <= bound + RAW_SLACK)
     if over.any():
         raise ValueError(f"readout {x[over][0]} outside [-{bound}, {bound}]")
     values = (x >= q.epsilon).astype(np.int8) - (x <= -q.epsilon)
@@ -132,7 +132,7 @@ def _walked(digits: np.ndarray) -> np.ndarray:
     return digits.T if digits.shape[1] > digits.shape[0] else digits
 
 
-def _steps(digits: np.ndarray):
+def _steps(digits: np.ndarray, cells: int):
     """The one walk over the b-triples of a digit grid of n rows, which the
     class count and the hit search each fold: (b, codes) per step, ``b`` a
     (k, 3) chunk of b-triples in lexicographic order and ``codes`` the (n,
@@ -141,11 +141,13 @@ def _steps(digits: np.ndarray):
     of a-triple (i, j, k) and b-triple l has function index
     ``codes[i, l] + 27*codes[j, l] + 729*codes[k, l]``.
 
-    A step takes k = STEP_CELLS // (n + 27*27) b-triples, at least one, for
-    a fold that works on at most 27*27 cells per b-triple besides its n row
-    codes, so a step stays within STEP_CELLS cells whatever the grid size,
-    and each b-triple is made once."""
-    for b in _triples(digits.shape[1], max(1, STEP_CELLS // (len(digits) + _CODES * _CODES))):
+    A step takes k = STEP_CELLS // (n + 27*27 + cells) b-triples, at least
+    one, for a fold that works per b-triple on its n row codes, at most
+    27*27 cells and ``cells`` target cells, so a step stays within
+    STEP_CELLS cells whatever the grid size and the targets, and each
+    b-triple is made once."""
+    size = max(1, STEP_CELLS // (len(digits) + _CODES * _CODES + cells))
+    for b in _triples(digits.shape[1], size):
         yield b, digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]]
 
 
@@ -202,7 +204,7 @@ def _sorted_cells(rows: np.ndarray, occurs: np.ndarray, n: int) -> tuple[np.ndar
     strict = np.zeros((_CODES,) * 3, dtype=np.int64)  # [z, y, x]: h_x*h_y*h_z for x, y < z
     repeated = np.zeros((_CODES, _CODES), dtype=np.int64)  # [x, z]: 2*C(h_x,2)*h_z
     pair_sums = np.zeros(_CODES, dtype=np.int64)  # [x]: 2*C(h_x,2)
-    for b, codes in _steps(rows):
+    for b, codes in _steps(rows, 0):
         h = _histograms(codes, weights)
         # float64 arithmetic is exact while every product and partial sum is
         # an integer below 2**53, which k * n**3 bounds; past that int64 is:
@@ -262,68 +264,64 @@ def hit_rows(
     (the template cannot realize the targets on these grids).
 
     A fold over the steps of ``_steps`` on the grid as ``_walked`` orients
-    it, in blocks of STEP_CELLS // (target cells) b-triples.  Rows with
-    equal codes under a b-triple are interchangeable, so its row-code
-    histogram h fixes its hits: a target cell x <= y <= z has
-    h_x*(h_y - [y=x])*(h_z - [z=x] - [z=y]) ordered picks of distinct rows,
-    one from each code's bucket.  A block counts the picks of every
-    (b-triple, cell) and expands only the nonzero ones, as one rank space
-    walked in chunks of STEP_CELLS ranks: ``searchsorted`` over the
-    cumulative picks finds a rank's (b-triple, cell), and mixed radix its
-    picks, as offsets into the rows stably sorted by code, where bucket v
-    starts at cumsum(h) - h.  A pick is kept only if its positions ascend,
-    so each a-triple comes once where codes repeat.  A transposed walk's
-    rows are mapped back at the end, their triples swapped and their index
-    transposed, and all rows are sorted into triple order.  Once the hits
-    counted so far pass MAX_GRID_POINTS the walk stops, before expanding
-    them, drops its rows and raises a ValueError that names the exact number
-    of hits, counted by one ``_class_counts`` walk for all target classes."""
+    it, each step sized for its n rows and the target cells, so the (k,
+    cells) picks of a step fit in STEP_CELLS.  Rows with equal codes under
+    a b-triple are interchangeable, so its row-code histogram h fixes its
+    hits: a target cell x <= y <= z has h_x*(h_y - [y=x])*(h_z - [z=x] -
+    [z=y]) ordered picks of distinct rows, one from each code's bucket.  A
+    step counts the picks of every (b-triple, cell) and expands only the
+    nonzero ones, as one rank space walked in chunks of STEP_CELLS ranks:
+    ``searchsorted`` over the cumulative picks finds a rank's (b-triple,
+    cell), and mixed radix its picks, as offsets into the rows stably
+    sorted by code, where bucket v starts at cumsum(h) - h.  A pick is kept
+    only if its positions ascend, so each a-triple comes once where codes
+    repeat.  A transposed walk's rows are mapped back at the end, their
+    triples swapped and their index transposed, and all rows are sorted
+    into triple order.  Once the hits counted so far pass MAX_GRID_POINTS
+    the walk stops, before expanding them, drops its rows and raises a
+    ValueError that names the exact number of hits, counted by one
+    ``_class_counts`` walk for all target classes."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
     walked = _walked(digits)
     x, y, z = cells = np.stack(_target_cells(wanted))
     skip = np.array([0 * x, y == x, (z == x) * 1 + (z == y)])  # rows an equal code took before
-    size = max(1, STEP_CELLS // max(1, len(x)))
     found, kept = [np.empty((0, 7), dtype=np.int32)], 0
-    for step_b, step_codes in _steps(walked):
-        for low in range(0, len(step_b), size):
-            b, codes = step_b[low : low + size], step_codes[:, low : low + size]
-            h = _histograms(codes)
-            picks = h[:, x] * (h[:, y] - skip[1]) * (h[:, z] - skip[2])
-            l, cell = np.nonzero(picks)
-            if not len(l):
-                continue
-            picks = picks[l, cell]
-            kept += int((picks // np.prod(1 + skip[:, cell], axis=0)).sum())
-            if kept > MAX_GRID_POINTS:
-                found.clear()
-                total = sum(count for c, count in _class_counts(digits).items() if c in classes)
-                raise ValueError(
-                    f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}"
-                )
-            # each pair's picks in mixed radix, and their offsets into its sorted rows
-            radix = h[l, cells[:, cell]] - skip[:, cell]
-            offset = (np.cumsum(h, axis=1) - h)[l, cells[:, cell]] + skip[:, cell]
-            order, ends = np.argsort(codes, axis=0, kind="stable"), np.cumsum(picks)
-            for start in range(0, ends[-1], STEP_CELLS):
-                rank = np.arange(start, min(start + STEP_CELLS, ends[-1]))
-                pair = ends.searchsorted(rank, "right")
-                rank -= ends[pair] - picks[pair]  # the rank within its (b-triple, cell)
-                pos = np.empty((3, len(rank)), dtype=np.intp)
-                rank, pos[2] = np.divmod(rank, radix[2, pair])
-                pos[0], pos[1] = np.divmod(rank, radix[1, pair])
-                pos += offset.take(pair, axis=1)  # sorted positions of the picked rows
-                keep = (pos[0] < pos[1]) & (pos[1] < pos[2])
-                col = l[pair[keep]]
-                i, j, k = order[pos[:, keep], col]  # ascending by a min/max network
-                i, j = np.minimum(i, j), np.maximum(i, j)
-                j, k = np.minimum(j, k), np.maximum(j, k)
-                i, j = np.minimum(i, j), np.maximum(i, j)
-                rows = np.empty((7, len(col)), dtype=np.int32)  # column-major, one transpose
-                rows[0], rows[1], rows[2], rows[3:6] = i, j, k, b[col].T
-                rows[6] = _CODES ** np.arange(3) @ codes[rows[:3], col]
-                found.append(rows.T)
+    for b, codes in _steps(walked, len(x)):
+        h = _histograms(codes)
+        picks = h[:, x] * (h[:, y] - skip[1]) * (h[:, z] - skip[2])
+        l, cell = np.nonzero(picks)
+        if not len(l):
+            continue
+        picks = picks[l, cell]
+        kept += int((picks // np.prod(1 + skip[:, cell], axis=0)).sum())
+        if kept > MAX_GRID_POINTS:
+            found.clear()
+            total = sum(count for c, count in _class_counts(digits).items() if c in classes)
+            raise ValueError(f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}")
+        # each pair's picks in mixed radix, and their offsets into its sorted rows
+        radix = h[l, cells[:, cell]] - skip[:, cell]
+        offset = (np.cumsum(h, axis=1) - h)[l, cells[:, cell]] + skip[:, cell]
+        order, ends = np.argsort(codes, axis=0, kind="stable"), np.cumsum(picks)
+        for start in range(0, ends[-1], STEP_CELLS):
+            rank = np.arange(start, min(start + STEP_CELLS, ends[-1]))
+            pair = ends.searchsorted(rank, "right")
+            rank -= ends[pair] - picks[pair]  # the rank within its (b-triple, cell)
+            pos = np.empty((3, len(rank)), dtype=np.intp)
+            rank, pos[2] = np.divmod(rank, radix[2, pair])
+            pos[0], pos[1] = np.divmod(rank, radix[1, pair])
+            pos += offset.take(pair, axis=1)  # sorted positions of the picked rows
+            keep = (pos[0] < pos[1]) & (pos[1] < pos[2])
+            col = l[pair[keep]]
+            i, j, k = order[pos[:, keep], col]  # ascending by a min/max network
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            j, k = np.minimum(j, k), np.maximum(j, k)
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            rows = np.empty((7, len(col)), dtype=np.int32)  # column-major, one transpose
+            rows[0], rows[1], rows[2], rows[3:6] = i, j, k, b[col].T
+            rows[6] = _CODES ** np.arange(3) @ codes[rows[:3], col]
+            found.append(rows.T)
     found = np.concatenate(found)
     if walked is not digits:  # swap the triples back and transpose each table:
         # digit 3*row + column of a function index moves to 3*column + row

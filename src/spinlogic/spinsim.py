@@ -155,20 +155,19 @@ class PulseSequence(CheckedTuple, namedtuple("PulseSequence", "elements")):
         return tuple.__new__(cls, (tuple(elements),))
 
 
-def _rotate(x, y, z, beta, phi, window=True):
+def _rotate(x, y, z, beta, phi):
     # Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0):
     #   nx = x*c + ky*z*s + kx*dot*t,  ny = y*c - kx*z*s + ky*dot*t,
     #   nz = z*c + (kx*y - ky*x)*s,    dot = kx*x + ky*y,  t = 1 - c,
     # each product and difference taken in that order, so every bit equals
     # the expressions'; only sums of two terms swap sides, which is exact.
-    # It writes three new arrays of the broadcast shape of the state, the
-    # angles and ``window``, the points that a selective pulse moved by the
-    # grid rotates, with one scratch array: ny holds dot until ny's own terms,
-    # and nz is scratch until its turn.
+    # It writes three new arrays of the broadcast shape of the state and the
+    # angles with one scratch array: ny holds dot until ny's own terms, and
+    # nz is scratch until its turn.
     kx, ky = np.cos(phi), np.sin(phi)
     c, s = np.cos(beta), np.sin(beta)
     t = 1.0 - c
-    shape = np.broadcast(x, y, z, kx, c, window).shape
+    shape = np.broadcast(x, y, z, kx, c).shape
     nx, ny, nz, e = (np.empty(shape) for _ in range(4))
     dot = np.multiply(kx, x, out=ny)
     dot += np.multiply(ky, y, out=e)
@@ -231,12 +230,13 @@ def run_peak(peak: Peak, steps):
     starts as 0-d equilibrium arrays and grows only along the axes whose
     values reach this peak: each step writes arrays of the broadcast shape
     of the state and its values, three outputs and one scratch array, and a
-    delay keeps mz as it is when the peak has no T1.  A selective pulse
-    whose window misses the peak is skipped and one whose window holds it
-    is a hard pulse; only a window that the grid moves (a placeholder in
-    ``target_offset`` or ``tolerance``) rotates on its own shape and puts
-    the grid points outside it back.  Returns x, y and z, checked finite,
-    each broadcasting against the grid."""
+    delay keeps mz as it is when the peak has no T1.  A selective pulse is
+    skipped when its window holds the peak at no grid point and is a hard
+    pulse when it holds it at every one; otherwise the grid moves the window
+    (a placeholder in ``target_offset`` or ``tolerance``), the state is
+    rotated once on its own shape, and ``np.where`` keeps the rotated values
+    inside the window.  Returns x, y and z, checked finite, each
+    broadcasting against the grid."""
     x = y = np.zeros(())
     z = np.ones(())
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,11 +247,9 @@ def run_peak(peak: Peak, steps):
                 hit = np.abs(peak.offset - v["target_offset"]) < v["tolerance"]
                 if hit.all():
                     x, y, z = _rotate(x, y, z, v["beta"], v["phi"])
-                elif hit.any():
-                    rotated = _rotate(x, y, z, v["beta"], v["phi"], hit)
-                    for r, m in zip(rotated, (x, y, z)):
-                        np.copyto(r, m, where=~hit)  # grid points outside the window keep m
-                    x, y, z = rotated
+                elif hit.any():  # grid points outside the window keep m
+                    rotated = _rotate(x, y, z, v["beta"], v["phi"])
+                    x, y, z = (np.where(hit, r, m) for r, m in zip(rotated, (x, y, z)))
             elif kind is Delay:
                 x, y, z = _evolve(x, y, z, peak.offset, v["tau"], peak.t1)
             else:
@@ -380,18 +378,19 @@ def document_from_dict(
 # a readout tile holds STEP_CELLS // 4 points, whole rows or, when one row
 # alone is over budget, part of a row, so one peak's three state arrays and
 # its scratch array stay within STEP_CELLS floats; per b-triple, rows plus
-# 27*27 cells, which keep each corner product of the class count within this
-# many multiply-adds; (b-triple, target cell) counts per hit-search block and
-# ranks per chunk of its expansion.  A full readout tile peaks at 2.2 to 3.7
-# MB of float64 arrays (tracemalloc), 34 to 56 bytes per tile point whatever
-# the number of peaks.  Per grid point, output included, ``readouts`` takes
-# 18.3 to 18.6 bytes on 512x512 single- and two-pulse grids, 13.7 on a
-# 4x250000 single-pulse grid, 11.7 at 1000x1000 for 3 T1 peaks of which a
-# $B pulse selects one, and 67 with 300 peaks on 3x10000, one tile.  A
-# class-count or hit-search step peaks at a few MB: 6.5 MB for the counts of
-# a 30x30 grid against all 3,654 target cells, 409 KB on a 14x14 grid
-# against the constant class, whose steps of 352 b-triples are the largest a
-# hit search takes.
+# 27*27 cells plus the target cells of a hit search, which keep each corner
+# product of the class count within this many multiply-adds and the
+# (b-triple, target cell) counts of a hit-search step within this many cells;
+# ranks per chunk of a hit search's expansion.  A full readout tile peaks at
+# 2.2 to 3.7 MB of float64 arrays (tracemalloc), 34 to 56 bytes per tile
+# point whatever the number of peaks.  Per grid point, output included,
+# ``readouts`` takes 18.3 to 18.6 bytes on 512x512 single- and two-pulse
+# grids, 13.7 on a 4x250000 single-pulse grid, 11.7 at 1000x1000 for 3 T1
+# peaks of which a $B pulse selects one, and 67 with 300 peaks on 3x10000,
+# one tile.  A class-count or hit-search step peaks at a few MB: 5.5 MB for
+# the counts of a 30x30 grid against all 3,654 target cells, in steps of 59
+# b-triples, and 343 KB on a 14x14 grid against the constant class (3
+# cells), whose steps of 351 b-triples are the largest a hit search takes.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and

@@ -40,6 +40,17 @@ def test_quantize_thresholds():
     assert quantize(0.5, q) == 1
 
 
+def test_quantize_rejects_nan_like_an_out_of_range_readout():
+    # NaN fails every comparison, so only a bound check written as "not
+    # within the bound" catches it
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^readout {bad} outside"):
+            quantize(bad)
+        with pytest.raises(ValueError, match=f"^readout {bad} outside"):
+            quantize([0.5, bad, 2.0])
+    assert quantize([0.5, -0.5, 0.1]).tolist() == [1, -1, 0]
+
+
 def test_quantize_is_odd():
     rng = random.Random(11)
     q = Quantizer()
@@ -416,6 +427,59 @@ def test_hits_per_class_equal_the_class_counts(digits, step_cells, data):
     assert all(p < q for p, q in zip(pairs, pairs[1:]))
 
 
+def _assert_steps_within_the_budget(mp, digits, targets):
+    """Runs both folds of the b-triple walk on ``digits`` with ``_triples``
+    wrapped to record each walk's (n, size), and checks that each step of k
+    b-triples holds k*(rows + 27*27 + cells) <= STEP_CELLS cells, or a single
+    b-triple: the count walks the distinct rows with no target cell, the hit
+    search all rows with the sorted cells of the targets.  Returns the
+    number of steps of each walk."""
+    walks = []
+    triples = search._triples
+
+    def recording_triples(n, size):
+        walks.append((n, size))
+        return triples(n, size)
+
+    walked = search._walked(digits)
+    cells = len(search._target_cells(np.isin(npn.canonical_map(3), sorted(targets)))[0])
+    mp.setattr(search, "_triples", recording_triples)
+    mp.setattr(search, "_quantized_grid", lambda *args: digits)
+    counts = search._class_counts(digits)
+    rows = search.hit_rows(None, None, None, targets=targets)
+    assert len(rows) == sum(counts.get(npn.canonical_index(t), 0) for t in targets)
+    distinct = len(search._distinct_rows(walked)[0])
+    m = walked.shape[1]
+    assert [n for n, _ in walks] == [m, m]
+    for (_, size), (n, c) in zip(walks, [(distinct, 0), (len(walked), cells)]):
+        assert size == 1 or size * (n + 27 * 27 + c) <= search.STEP_CELLS
+        assert size == 1 or (size + 1) * (n + 27 * 27 + c) > search.STEP_CELLS  # no smaller than that
+    return [-(-math.comb(m, 3) // size) for _, size in walks]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    digit_grids(),
+    st.sampled_from([800, 3000, 20000, search.STEP_CELLS]),
+    st.sets(st.sampled_from(sorted(set(npn.canonical_map(3)))), min_size=1, max_size=4)
+    | st.just(set(npn.canonical_map(3))),
+)
+def test_every_step_of_either_fold_stays_within_the_budget(digits, step_cells, targets):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "STEP_CELLS", step_cells)
+        _assert_steps_within_the_budget(mp, digits, targets)
+
+
+def test_a_hit_search_for_all_classes_takes_smaller_steps_than_the_count(monkeypatch):
+    # all 84 classes have 3,654 sorted cells: on 20 rows a hit-search step
+    # holds STEP_CELLS // (20 + 729 + 3654) = 59 b-triples, where the class
+    # count takes the C(13,3) = 286 b-triples of 13 columns in one step
+    digits = np.random.default_rng(5).integers(0, 3, size=(20, 13), dtype=np.uint8)
+    assert search.STEP_CELLS // (20 + 27 * 27 + 3654) == 59
+    steps = _assert_steps_within_the_budget(monkeypatch, digits, set(npn.canonical_map(3)))
+    assert steps == [1, 5]
+
+
 def test_a_hit_search_without_picks_expands_no_a_triple(monkeypatch):
     # a constant $A grid reads 0 everywhere: no b-triple's row-code histogram
     # has a pick in a multiplication cell, so the count-and-expand walk
@@ -438,8 +502,8 @@ def test_a_hit_search_without_picks_expands_no_a_triple(monkeypatch):
 def test_count_and_expand_working_memory():
     # a hit search of 30x30 random digits against all 84 classes (3,654
     # target cells) over its cap of 0 hits: the walk counts the (b-triple,
-    # cell) picks, STEP_CELLS of them per block, and stops before it expands
-    # any, which traced 6.5 MB
+    # cell) picks of a step of 59 b-triples, within STEP_CELLS, and stops
+    # before it expands any, which traced 5.5 MB
     digits = np.random.default_rng(7).integers(0, 3, size=(30, 30), dtype=np.uint8)
     classes = sorted(set(npn.canonical_map(3)))
     assert len(classes) == 84 and len(search._target_cells(np.ones(27**3, dtype=bool))[0]) == 3654
@@ -454,14 +518,14 @@ def test_count_and_expand_working_memory():
         finally:
             tracemalloc.stop()
     assert peak < 12e6
-    # a walk of n >= m rows takes min(C(m,3), STEP_CELLS // (n + 27*27))
-    # b-triples per step, at most 352, as on this 14x14 grid: against the
-    # constant class's cells one count block holds the whole step, and the
-    # 492 hits traced 409 KB
+    # a hit search of n >= m rows takes min(C(m,3), STEP_CELLS // (n + 27*27
+    # + cells)) b-triples per step, at most 351, as on this 14x14 grid
+    # against the constant class's 3 cells, where the 492 hits traced 343 KB
     grid = [2 * math.pi * k / 13 for k in range(14)]
     assert math.comb(13, 3) < search.STEP_CELLS // (14 + 27 * 27) == 352 < math.comb(14, 3)
     x, _, _ = search._target_cells(np.isin(npn.canonical_map(3), [0]))
     assert search.STEP_CELLS // len(x) > 352
+    assert search.STEP_CELLS // (14 + 27 * 27 + len(x)) == 351
     tracemalloc.start()
     try:
         rows = search.hit_rows(two_pulse_template(), grid, grid, targets={0})
@@ -1076,7 +1140,7 @@ def test_hit_search_past_the_cap_names_the_exact_total(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
 def test_the_running_hit_count_is_exact_at_the_cap(digits, step_cells, data):
-    # the cap is checked against the hits counted per block, before they are
+    # the cap is checked against the hits counted per step, before they are
     # expanded, so the count must be exact where codes repeat too: a search
     # capped at its hit total lists every hit, and one capped below it raises
     with pytest.MonkeyPatch.context() as mp:

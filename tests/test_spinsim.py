@@ -333,10 +333,11 @@ OFFSETS = st.floats(-5.0, 5.0)
 @st.composite
 def kernel_cases(draw):
     """A spin system of 1-4 peaks, some with T1, a (rows, columns) grid and
-    1-5 steps whose beta, phi, tau or target_offset is a constant, a
-    (rows, 1) column varying along the rows or a (columns,) row varying
-    along the columns; selective windows hit none, some or all of the
-    peaks."""
+    1-5 steps whose beta, phi, tau, target_offset or tolerance is a
+    constant, a (rows, 1) column varying along the rows or a (columns,) row
+    varying along the columns; selective windows hit none, some or all of
+    the peaks, and a window that varies can hold a peak at some grid points
+    only."""
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     peaks = draw(st.lists(st.tuples(OFFSETS, st.none() | st.floats(0.1, 5.0)), min_size=1, max_size=4))
     system = SpinSystem(tuple(Peak(f"p{k}", offset, t1=t1) for k, (offset, t1) in enumerate(peaks)))
@@ -359,7 +360,8 @@ def kernel_cases(draw):
             fields = {"beta": value(angle), "phi": value(angle)}
             if kind is SelectivePulse:
                 # a window of 1e-3 hits at most the peaks it is centred on, one of 100 all of them
-                fields |= {"target_offset": value(target), "tolerance": draw(st.sampled_from([1e-3, 1.0, 100.0]))}
+                tolerance = st.sampled_from([1e-3, 1.0, 100.0])
+                fields |= {"target_offset": value(target), "tolerance": value(tolerance)}
             steps.append((kind, fields))
     return system, steps, (rows, cols)
 
