@@ -12,6 +12,7 @@ each grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -97,32 +98,15 @@ _CODES = 27  # row codes: a table row of three digits read in base 3
 
 def _triples(n: int, size: int):
     """Ascending index triples of range(n) in lexicographic order, as
-    (k, 3) arrays of at most ``size`` rows.
-
-    Each chunk is made from the ranks of its triples: the triples starting
-    at i begin at rank C(n,3) - C(n-i,3), and the pairs of range(n) starting
-    at j at rank C(n,2) - C(n-j,2), so ``searchsorted`` over those first
-    ranks finds i, then j among the pairs after i, and the rest is k.  The
-    ranks stay below C(n,3), exact in int64 for n up to 10**6.  A chunk is
-    built in place, so it holds its (k, 3) triples and two (k,) arrays."""
+    (k, 3) arrays of at most ``size`` rows, each chunk read by
+    ``np.fromiter`` from one flat ``itertools.combinations`` iterator.  A
+    step takes at most a few hundred b-triples, made at about 90 ns each,
+    about 1 % of the 2-5 us that a fold spends on each."""
     total = math.comb(n, 3)
-    rest = n - np.arange(n, dtype=np.int64)
-    first3 = total - rest * (rest - 1) // 2 * (rest - 2) // 3
-    first2 = math.comb(n, 2) - rest * (rest - 1) // 2
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), 3))
     for low in range(0, total, size):
-        rank = np.arange(low, min(low + size, total), dtype=np.int64)
-        chunk = np.empty((len(rank), 3), dtype=np.intp)
-        i, j, k = chunk.T
-        i[:] = first3.searchsorted(rank, "right")
-        i -= 1
-        rank -= first3[i]  # rank among the pairs after i, and so
-        rank += first2[1:][i]  # among the pairs of range(n)
-        j[:] = first2.searchsorted(rank, "right")
-        j -= 1
-        rank -= first2[j]
-        rank += j + 1
-        k[:] = rank
-        yield chunk
+        k = min(size, total - low)
+        yield np.fromiter(combos, dtype=np.intp, count=3 * k).reshape(k, 3)
 
 
 def _walked(digits: np.ndarray) -> np.ndarray:

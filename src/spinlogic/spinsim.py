@@ -106,6 +106,9 @@ class SpinSystem(CheckedTuple, namedtuple("SpinSystem", "peaks")):
         peaks = tuple(peaks)
         if not peaks:
             raise ValueError("spin system needs at least one peak")
+        for p in peaks:
+            if not isinstance(p, Peak):
+                raise TypeError(f"spin system peaks must be Peak values, got {p!r}")
         labels = [p.label for p in peaks]
         if len(set(labels)) != len(labels):
             raise ValueError(f"peak labels must be unique, got {labels}")
@@ -152,7 +155,11 @@ class PulseSequence(CheckedTuple, namedtuple("PulseSequence", "elements")):
     __slots__ = ()
 
     def __new__(cls, elements) -> "PulseSequence":
-        return tuple.__new__(cls, (tuple(elements),))
+        elements = tuple(elements)
+        for e in elements:
+            if not isinstance(e, SequenceElement):
+                raise TypeError(f"sequence elements must be HardPulse, SelectivePulse or Delay, got {e!r}")
+        return tuple.__new__(cls, (elements,))
 
 
 def _rotate(x, y, z, beta, phi):

@@ -763,25 +763,61 @@ def test_exactness_guard_at_its_boundary():
     assert search._class_counts(np.full((300000, 3), 1, np.uint8)) == {0: math.comb(300000, 3)}
     # an odd n**3 above 2**53 has no float64 representation
     assert search._class_counts(np.full((299999, 3), 2, np.uint8)) == {0: math.comb(299999, 3)}
+    # three codes of 250,001 rows each: h_x*h_y*h_z is odd and above 2**53,
+    # so float64 steps miscount it (their totals fail the sum check)
+    digits = np.zeros((750003, 3), np.uint8)
+    digits[250001:500002, 0], digits[500002:, 0] = 1, 2
+    assert sum(search._class_counts(digits).values()) == math.comb(750003, 3)
 
 
-@pytest.mark.parametrize("n", [208063, 208064])
-def test_class_counts_on_a_tall_grid_equal_the_histogram_oracle(n):
-    # with one b-triple, the a-triples taking c_x rows of code x form
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        pytest.param(208063, 3, id="208063"),
+        pytest.param(208064, 3, id="208064"),
+        # 81 distinct rows: one int64 step of all four b-triples
+        pytest.param(210000, 4, id="210000x4"),
+    ],
+)
+def test_class_counts_on_a_tall_grid_equal_the_histogram_oracle(n, m):
+    # under one b-triple, the a-triples taking c_x rows of code x form
     # prod C(h_x, c_x) tables, counted here with Python ints
-    digits = np.random.default_rng(n).integers(0, 3, size=(n, 3), dtype=np.uint8)
-    codes = digits[:, 0].astype(np.int64) + 3 * digits[:, 1] + 9 * digits[:, 2]
-    hist = np.bincount(codes, minlength=27).tolist()
+    digits = np.random.default_rng(n).integers(0, 3, size=(n, m), dtype=np.uint8)
     expected: dict[int, int] = {}
-    for x, y, z in itertools.combinations_with_replacement(range(27), 3):
-        multiplicity = {x: 0, y: 0, z: 0}
-        for code in (x, y, z):
-            multiplicity[code] += 1
-        tables = math.prod(math.comb(hist[code], c) for code, c in multiplicity.items())
-        canonical = npn.canonical_index(x + 27 * y + 729 * z)
-        expected[canonical] = expected.get(canonical, 0) + tables
+    for b in itertools.combinations(range(m), 3):
+        codes = digits[:, b[0]].astype(np.int64) + 3 * digits[:, b[1]] + 9 * digits[:, b[2]]
+        hist = np.bincount(codes, minlength=27).tolist()
+        for x, y, z in itertools.combinations_with_replacement(range(27), 3):
+            multiplicity = {x: 0, y: 0, z: 0}
+            for code in (x, y, z):
+                multiplicity[code] += 1
+            tables = math.prod(math.comb(hist[code], c) for code, c in multiplicity.items())
+            canonical = npn.canonical_index(x + 27 * y + 729 * z)
+            expected[canonical] = expected.get(canonical, 0) + tables
     assert search._class_counts(digits) == {c: t for c, t in expected.items() if t}
-    assert sum(expected.values()) == math.comb(n, 3)
+    assert sum(expected.values()) == math.comb(n, 3) * math.comb(m, 3)
+
+
+def test_single_pulse_class_set_equals_that_of_representative_products():
+    # a single-pulse readout is a product u*v (u = sin beta, v = sin phi), so
+    # its table depends only on the signs of the u_i and v_j and on which
+    # products clear epsilon = 0.25; 21 values, 0, +-0.1 and nine magnitudes
+    # in [0.26, 1] with their negatives, realize 42 classes, the set that
+    # the grid search finds at each grid size tried
+    magnitudes = np.geomspace(0.26, 1, 9)
+    values = np.concatenate([[0.0, 0.1, -0.1], magnitudes, -magnitudes])
+    digits = (quantize(np.multiply.outer(values, values)) + 1).astype(np.uint8)
+    products = set(search._class_counts(digits))
+    assert len(products) == 42
+    for n in (12, 24, 40):
+        grid = [2 * math.pi * k / (n - 1) for k in range(n)]
+        assert set(achievable_classes(single_pulse_template(), grid, grid)) == products
+    # acceptance 6's negative result on these values too: no product table
+    # lies in the selective-delay class
+    template, delays, freqs = selective_delay_inputs()
+    selective = npn.canonical_index(encode(evaluate_table(template, delays, freqs).logic))
+    assert selective == 152
+    assert selective not in products
 
 
 def test_class_count_working_memory_does_not_grow_with_the_step():

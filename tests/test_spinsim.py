@@ -248,6 +248,13 @@ def test_system_validation():
         Peak("A", 0.0, t1=0.0)
     with pytest.raises(ValueError):
         Magnetization(float("nan"), 0.0, 0.0)
+    # an element of the wrong type is named at construction, not deep in the kernel
+    with pytest.raises(TypeError, match="got 1$"):
+        SpinSystem((1,))
+    with pytest.raises(TypeError, match="got 1$"):
+        PulseSequence((1,))
+    with pytest.raises(TypeError, match=r"got Peak\(label='A'"):
+        PulseSequence((HardPulse(0.5, 0.0), Peak("A", 0.0)))
 
 
 def test_document_roundtrip():
