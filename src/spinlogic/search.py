@@ -262,9 +262,9 @@ def hit_rows(
     repeat.  A transposed walk's rows are mapped back at the end, their
     triples swapped and their index transposed, and all rows are sorted
     into triple order.  Once the hits counted so far pass MAX_GRID_POINTS
-    the walk stops, before expanding them, drops its rows and raises a
-    ValueError that names the exact number of hits, counted by one
-    ``_class_counts`` walk for all target classes."""
+    the walk drops its rows and expands no further step, and then raises a
+    ValueError that names the exact number of hits, counted by the rest of
+    the same walk."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
@@ -280,10 +280,9 @@ def hit_rows(
             continue
         picks = picks[l, cell]
         kept += int((picks // np.prod(1 + skip[:, cell], axis=0)).sum())
-        if kept > MAX_GRID_POINTS:
+        if kept > MAX_GRID_POINTS:  # count the rest of the walk, expand nothing more
             found.clear()
-            total = sum(count for c, count in _class_counts(digits).items() if c in classes)
-            raise ValueError(f"search has {total} hits, more than the limit of {MAX_GRID_POINTS}")
+            continue
         # each pair's picks in mixed radix, and their offsets into its sorted rows
         radix = h[l, cells[:, cell]] - skip[:, cell]
         offset = (np.cumsum(h, axis=1) - h)[l, cells[:, cell]] + skip[:, cell]
@@ -306,6 +305,8 @@ def hit_rows(
             rows[0], rows[1], rows[2], rows[3:6] = i, j, k, b[col].T
             rows[6] = _CODES ** np.arange(3) @ codes[rows[:3], col]
             found.append(rows.T)
+    if kept > MAX_GRID_POINTS:
+        raise ValueError(f"search has {kept} hits, more than the limit of {MAX_GRID_POINTS}")
     found = np.concatenate(found)
     if walked is not digits:  # swap the triples back and transpose each table:
         # digit 3*row + column of a function index moves to 3*column + row

@@ -16,9 +16,9 @@ of per-peak transverse components.  Peaks never couple, so :func:`run_peak`,
 the one element loop behind every simulation, runs one peak at a time, over
 a whole (rows, columns) grid of copies at once.  Its state starts as one
 equilibrium vector and grows only along the grid axes whose values reach the
-peak, and it writes each element's rotation or precession into preallocated
-arrays in a fixed operation order, so a readout is the same to the last bit
-whatever the grid it is part of.
+peak, and each element's rotation or precession is one numpy expression in
+a fixed operation order, so a readout is the same to the last bit whatever
+the grid it is part of.
 
 Systems and sequences are read from JSON documents (schema below) by
 :func:`document_from_dict`, the one reader, in a single walk that also
@@ -162,41 +162,20 @@ class PulseSequence(CheckedTuple, namedtuple("PulseSequence", "elements")):
         return tuple.__new__(cls, (elements,))
 
 
+# Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0), and
+# precession about z with T1 recovery in _evolve.  Readouts are compared bit
+# for bit, so the order of every product and difference below is fixed: do
+# not reassociate, factor or fuse them.
 def _rotate(x, y, z, beta, phi):
-    # Rodrigues rotation about the in-plane axis k = (cos phi, sin phi, 0):
-    #   nx = x*c + ky*z*s + kx*dot*t,  ny = y*c - kx*z*s + ky*dot*t,
-    #   nz = z*c + (kx*y - ky*x)*s,    dot = kx*x + ky*y,  t = 1 - c,
-    # each product and difference taken in that order, so every bit equals
-    # the expressions'; only sums of two terms swap sides, which is exact.
-    # It writes three new arrays of the broadcast shape of the state and the
-    # angles with one scratch array: ny holds dot until ny's own terms, and
-    # nz is scratch until its turn.
     kx, ky = np.cos(phi), np.sin(phi)
     c, s = np.cos(beta), np.sin(beta)
     t = 1.0 - c
-    shape = np.broadcast(x, y, z, kx, c).shape
-    nx, ny, nz, e = (np.empty(shape) for _ in range(4))
-    dot = np.multiply(kx, x, out=ny)
-    dot += np.multiply(ky, y, out=e)
-    np.multiply(x, c, out=nx)
-    np.multiply(ky, z, out=e)
-    e *= s
-    nx += e
-    np.multiply(kx, dot, out=e)
-    e *= t
-    nx += e
-    dot *= ky  # ny = (ky*dot)*t + ((y*c) - (kx*z)*s)
-    ny *= t
-    np.multiply(y, c, out=e)
-    np.multiply(kx, z, out=nz)
-    nz *= s
-    e -= nz
-    ny += e
-    np.multiply(kx, y, out=nz)  # nz = (kx*y - ky*x)*s + z*c
-    nz -= np.multiply(ky, x, out=e)
-    nz *= s
-    nz += np.multiply(z, c, out=e)
-    return nx, ny, nz
+    dot = kx * x + ky * y
+    return (
+        x * c + ky * z * s + kx * dot * t,
+        y * c - kx * z * s + ky * dot * t,
+        z * c + (kx * y - ky * x) * s,
+    )
 
 
 # libm's exp: numpy's own exp is dispatched per CPU and differs from it in the
@@ -205,23 +184,11 @@ _exp = np.vectorize(math.exp, otypes=[float])
 
 
 def _evolve(x, y, z, offset, tau, t1):
-    # Precession about z by offset*tau, x*c - y*s and x*s + y*c, into two new
-    # arrays with one scratch array; mz is z itself without T1, and with it
-    # the scratch array becomes mz, recovered as 1 + (z - 1)*exp(-tau/t1).
     angle = offset * tau
     c, s = np.cos(angle), np.sin(angle)
-    shape = np.broadcast(x, y, z, c).shape
-    nx, ny, e = (np.empty(shape) for _ in range(3))
-    np.multiply(x, c, out=nx)
-    nx -= np.multiply(y, s, out=e)
-    np.multiply(x, s, out=ny)
-    ny += np.multiply(y, c, out=e)
-    if t1 is None:
-        return nx, ny, z
-    np.subtract(z, 1.0, out=e)
-    e *= _exp(-tau / t1)
-    e += 1.0
-    return nx, ny, e
+    if t1 is not None:
+        z = (z - 1.0) * _exp(-tau / t1) + 1.0
+    return x * c - y * s, x * s + y * c, z
 
 
 def run_peak(peak: Peak, steps):
@@ -235,15 +202,15 @@ def run_peak(peak: Peak, steps):
 
     Peaks never couple, so a system is simulated peak by peak.  The state
     starts as 0-d equilibrium arrays and grows only along the axes whose
-    values reach this peak: each step writes arrays of the broadcast shape
-    of the state and its values, three outputs and one scratch array, and a
-    delay keeps mz as it is when the peak has no T1.  A selective pulse is
-    skipped when its window holds the peak at no grid point and is a hard
-    pulse when it holds it at every one; otherwise the grid moves the window
-    (a placeholder in ``target_offset`` or ``tolerance``), the state is
-    rotated once on its own shape, and ``np.where`` keeps the rotated values
-    inside the window.  Returns x, y and z, checked finite, each
-    broadcasting against the grid."""
+    values reach this peak: each step makes new arrays of the broadcast
+    shape of the state and its values, and a delay keeps mz as it is when
+    the peak has no T1.  A selective pulse is skipped when its window holds
+    the peak at no grid point and is a hard pulse when it holds it at every
+    one; otherwise the grid moves the window (a placeholder in
+    ``target_offset`` or ``tolerance``), the state is rotated once on its own
+    shape, and ``np.where`` keeps the rotated values inside the window.
+    Returns x, y and z, checked finite, each broadcasting against the
+    grid."""
     x = y = np.zeros(())
     z = np.ones(())
     with np.errstate(over="ignore", invalid="ignore"):
@@ -383,21 +350,21 @@ def document_from_dict(
 # Cells per step of every grid walk, the readout walk here and the b-triple
 # walks of the search layer, each of which sizes its step from the grid shape:
 # a readout tile holds STEP_CELLS // 4 points, whole rows or, when one row
-# alone is over budget, part of a row, so one peak's three state arrays and
-# its scratch array stay within STEP_CELLS floats; per b-triple, rows plus
-# 27*27 cells plus the target cells of a hit search, which keep each corner
-# product of the class count within this many multiply-adds and the
+# alone is over budget, part of a row, so one peak's state arrays and the
+# temporaries of its element expressions stay within a few MB; per b-triple,
+# rows plus 27*27 cells plus the target cells of a hit search, which keep each
+# corner product of the class count within this many multiply-adds and the
 # (b-triple, target cell) counts of a hit-search step within this many cells;
 # ranks per chunk of a hit search's expansion.  A full readout tile peaks at
-# 2.2 to 3.7 MB of float64 arrays (tracemalloc), 34 to 56 bytes per tile
-# point whatever the number of peaks.  Per grid point, output included,
-# ``readouts`` takes 18.3 to 18.6 bytes on 512x512 single- and two-pulse
-# grids, 13.7 on a 4x250000 single-pulse grid, 11.7 at 1000x1000 for 3 T1
-# peaks of which a $B pulse selects one, and 67 with 300 peaks on 3x10000,
-# one tile.  A class-count or hit-search step peaks at a few MB: 5.5 MB for
-# the counts of a 30x30 grid against all 3,654 target cells, in steps of 59
-# b-triples, and 343 KB on a 14x14 grid against the constant class (3
-# cells), whose steps of 351 b-triples are the largest a hit search takes.
+# 2.2 to 4.3 MB of float64 arrays (tracemalloc), 33 to 65 bytes per tile point
+# whatever the number of peaks.  Per grid point, output included, ``readouts``
+# takes 18.4 to 20.6 bytes on 512x512 single- and two-pulse grids, 14.2 on a
+# 4x250000 single-pulse grid, 12.2 at 1000x1000 for 3 T1 peaks of which a $B
+# pulse selects one, and 83 with 300 peaks on 3x10000, one tile.  A class-count
+# or hit-search step peaks at a few MB: 5.5 MB for the counts of a 30x30 grid
+# against all 3,654 target cells, in steps of 59 b-triples, and 343 KB on a
+# 14x14 grid against the constant class (3 cells), whose steps of 351
+# b-triples are the largest a hit search takes.
 STEP_CELLS = 1 << 18
 
 # Largest grid a command evaluates, largest linear grid spec it expands, and
@@ -475,13 +442,13 @@ class SequenceTemplate:
         """The one walk over the grid: (tile, values) for each tile in
         row-major order, ``tile`` a pair of slices of grid_a and grid_b and
         ``values`` its summed x readouts.  A tile holds whole rows of at most
-        STEP_CELLS // 4 points, whatever the number of peaks, so one peak's
-        three state arrays and its scratch array stay within STEP_CELLS
-        floats; only a row that alone is over budget is split, and a tile
-        always holds at least one point.  Every grid value is checked before
-        the first tile.  Each slot is held as a column along its axis, (n, 1)
-        for $A and (m,) for $B, and sliced per tile, so both broadcast over
-        the tile's (rows, columns) points.
+        STEP_CELLS // 4 points, whatever the number of peaks, so a tile's
+        state arrays and numpy's temporaries peak at a few MB (see
+        STEP_CELLS); only a row that alone is over budget is split, and a
+        tile always holds at least one point.  Every grid value is checked
+        before the first tile.  Each slot is held as a column along its
+        axis, (n, 1) for $A and (m,) for $B, and sliced per tile, so both
+        broadcast over the tile's (rows, columns) points.
 
         Each tile runs ``run_peak`` once per peak and sums the x of the peaks
         in the listed order, starting from 0.0, like ``read_mx``; the sum

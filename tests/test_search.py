@@ -619,6 +619,18 @@ def t1_sequence_document(peaks: int) -> dict:
     }
 
 
+def three_peak_document() -> dict:
+    """The T1 sequence on three peaks, two with T1: hard pulse $A, delay, a
+    pulse at phase $B selective for the middle peak, delay."""
+    return t1_sequence_document(3) | {
+        "peaks": [
+            {"label": "p1", "offset_rad_s": 2.0, "t1_s": 1.2},
+            {"label": "p2", "offset_rad_s": 5.0, "t1_s": 0.7},
+            {"label": "p3", "offset_rad_s": 8.0},
+        ]
+    }
+
+
 @pytest.mark.parametrize("step_cells", [1, 5, 64, spinsim.STEP_CELLS])
 def test_tiles_stay_within_the_budget_and_cover_the_grid_in_row_major_order(monkeypatch, step_cells):
     tpl = SequenceTemplate(t1_sequence_document(3))
@@ -683,24 +695,8 @@ def traced_bytes_per_point_peak(template, grid_a, grid_b):
 
 
 def test_readouts_trace_at_most_64_bytes_per_point_peak():
-    # three peaks, two with T1: hard pulse $A, delay, a pulse at phase $B
-    # selective for the middle peak, delay; one tile of 100 x 100 points
-    three_peaks = SequenceTemplate(
-        {
-            "peaks": [
-                {"label": "p1", "offset_rad_s": 2.0, "t1_s": 1.2},
-                {"label": "p2", "offset_rad_s": 5.0, "t1_s": 0.7},
-                {"label": "p3", "offset_rad_s": 8.0},
-            ],
-            "sequence": [
-                {"type": "hard_pulse", "beta": "$A", "phi": 0.3},
-                {"type": "delay", "tau": 0.25},
-                {"type": "selective_pulse", "beta": math.pi / 2, "phi": "$B",
-                 "target_offset": 5.0, "tolerance": 1.0},
-                {"type": "delay", "tau": 0.15},
-            ],
-        }
-    )
+    # one tile of 100 x 100 points
+    three_peaks = SequenceTemplate(three_peak_document())
     grid = [2 * math.pi * k / 99 for k in range(100)]
     assert traced_bytes_per_point_peak(three_peaks, grid, grid) <= 64
     # a single-pulse grid of exactly STEP_CELLS points, in four tiles, output included
@@ -713,18 +709,17 @@ def test_readouts_trace_at_most_64_bytes_per_point_peak():
 def test_readouts_keep_the_peaks_a_window_leaves_out_off_the_grid():
     # the 64-byte test's three peaks: the $B pulse selects only the middle
     # one, so the outer two run on (rows, 1) points
-    tpl = SequenceTemplate(
-        t1_sequence_document(3)
-        | {
-            "peaks": [
-                {"label": "p1", "offset_rad_s": 2.0, "t1_s": 1.2},
-                {"label": "p2", "offset_rad_s": 5.0, "t1_s": 0.7},
-                {"label": "p3", "offset_rad_s": 8.0},
-            ]
-        }
-    )
+    tpl = SequenceTemplate(three_peak_document())
     grid = [2 * math.pi * k / 99 for k in range(100)]
     assert traced_bytes_per_point_peak(tpl, grid, grid) <= 32
+
+
+def test_full_tile_three_peak_readouts_trace_at_most_13_bytes_per_point():
+    # the 64-byte test's template on 1000x1000, in 16 tiles of at most 65
+    # rows of 1000 points: the output alone is 8 bytes per point, and one
+    # tile's kernel arrays and temporaries are the rest
+    grid = [2 * math.pi * k / 999 for k in range(1000)]
+    assert traced_bytes_per_point(SequenceTemplate(three_peak_document()), grid, grid) <= 13
 
 
 def test_many_peak_readouts_trace_at_most_90_bytes_per_point():
@@ -802,13 +797,33 @@ def test_single_pulse_class_set_equals_that_of_representative_products():
     # a single-pulse readout is a product u*v (u = sin beta, v = sin phi), so
     # its table depends only on the signs of the u_i and v_j and on which
     # products clear epsilon = 0.25; 21 values, 0, +-0.1 and nine magnitudes
-    # in [0.26, 1] with their negatives, realize 42 classes, the set that
-    # the grid search finds at each grid size tried
+    # in [0.26, 1] with their negatives, realize 42 classes: the set of every
+    # such table, enumerated below, and the one that the grid search finds
+    # at each grid size tried
     magnitudes = np.geomspace(0.26, 1, 9)
     values = np.concatenate([[0.0, 0.1, -0.1], magnitudes, -magnitudes])
     digits = (quantize(np.multiply.outer(values, values)) + 1).astype(np.uint8)
     products = set(search._class_counts(digits))
     assert len(products) == 42
+    # the complete set: a table is s_i*r_j*F[i][j], with row and column
+    # signs s, r in {-1, 0, 1} and F the 0/1 pattern of |u_i|*|v_j| >=
+    # epsilon, whose row supports are nested (each pattern is realized by
+    # some |u|, |v| <= 1 at epsilon < 1); a table's digits are its values + 1
+    ferrers = [
+        rows
+        for rows in itertools.product(itertools.product((0, 1), repeat=3), repeat=3)
+        if all(all(a <= b for a, b in zip(p, q)) or all(b <= a for a, b in zip(p, q))
+               for p, q in itertools.combinations(rows, 2))
+    ]
+    assert len(ferrers) == 230
+    signs = list(itertools.product((-1, 0, 1), repeat=3))
+    indices = {
+        sum((s[i] * r[j] * f[i][j] + 1) * 3 ** (3 * i + j) for i in range(3) for j in range(3))
+        for f in ferrers
+        for s in signs
+        for r in signs
+    }
+    assert {npn.canonical_index(t) for t in indices} == products
     for n in (12, 24, 40):
         grid = [2 * math.pi * k / (n - 1) for k in range(n)]
         assert set(achievable_classes(single_pulse_template(), grid, grid)) == products
@@ -1192,24 +1207,31 @@ def test_the_running_hit_count_is_exact_at_the_cap(digits, step_cells, data):
             search.hit_rows(None, None, None, targets=targets)
 
 
-def test_hit_search_past_the_cap_counts_the_classes_once(monkeypatch):
+def test_hit_search_past_the_cap_walks_the_grid_once(monkeypatch):
     grid = [2 * math.pi * k / 9 for k in range(10)]
     targets = {encode(multiplication()), 403, 5}
     counts = achievable_classes(single_pulse_template(), grid, grid)
     total = sum(counts[npn.canonical_index(t)] for t in targets)
     assert total == 752 + 1304 + 1040
-    walks = []
-    class_counts = search._class_counts
+    walks, step_walks = [], []
+    class_counts, steps = search._class_counts, search._steps
 
     def counting_class_counts(digits):
         walks.append(digits.shape)
         return class_counts(digits)
 
+    def counting_steps(digits, cells):
+        step_walks.append(digits.shape)
+        return steps(digits, cells)
+
     monkeypatch.setattr(search, "_class_counts", counting_class_counts)
+    monkeypatch.setattr(search, "_steps", counting_steps)
     monkeypatch.setattr(search, "MAX_GRID_POINTS", 100)
     with pytest.raises(ValueError, match=f"^search has {total} hits, more than the limit of 100$"):
         search.hit_rows(single_pulse_template(), grid, grid, targets=targets)
-    assert walks == [(10, 10)]
+    # the hits past the cap are counted by the rest of the hit search's own walk
+    assert walks == []
+    assert step_walks == [(10, 10)]
 
 
 def test_hit_search_working_memory_on_the_benchmark_grid(tmp_path):
