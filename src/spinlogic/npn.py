@@ -43,7 +43,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .ternary import CheckedTuple, TernaryFunction
+from .ternary import CheckedTuple, TernaryFunction, _check_index
 
 
 def _check_perm(perm: tuple[int, ...], radix: int) -> tuple[int, ...]:
@@ -142,9 +142,7 @@ def compose(t2: NpnTransform, t1: NpnTransform) -> NpnTransform:
 def digits_of_index(index: int, radix: int = 3) -> tuple[int, ...]:
     """Little-endian base-``radix`` digit table of a function index."""
     cells = radix * radix
-    count = radix**cells
-    if not 0 <= index < count:
-        raise ValueError(f"function index must be in [0, {count - 1}], got {index}")
+    index = _check_index(index, radix**cells)
     digits = []
     for _ in range(cells):
         digits.append(index % radix)
@@ -273,10 +271,7 @@ def canonical_map(radix: int = 3) -> memoryview:
 
 def canonical_index(index: int, radix: int = 3) -> int:
     """Canonical representative of the class containing ``index``."""
-    count = radix ** (radix * radix)
-    if not 0 <= index < count:
-        raise ValueError(f"function index must be in [0, {count - 1}], got {index}")
-    return int(canonical_map(radix)[index])
+    return int(canonical_map(radix)[_check_index(index, radix ** (radix * radix))])
 
 
 def classify_all(radix: int = 3) -> list[NpnClass]:

@@ -10,9 +10,10 @@ some PC classes merge several of them (84 equivalence classes fall into 33
 PC classes); for binary gates the two partitions coincide.
 
 :func:`pc_keys` gives every function index its signature as one key, in an
-array of uint16 keys that orders functions exactly as their normalized
-signatures.  The keys are built from the tables alone, without the
-equivalence classes, so the key array next to
+array of one-byte keys, each the ranks of its two multisets in the
+lexicographic list of every multiset, so that keys order functions exactly
+as their normalized signatures.  The keys are built from the tables alone,
+without the equivalence classes, so the key array next to
 :func:`spinlogic.npn.canonical_map` answers every class-level question
 (class sizes, the NPN classes each PC class spans, whether every NPN class
 lies in one PC class) without listing any class's members, and the last of
@@ -22,7 +23,6 @@ these is a check of one against the other.
 from __future__ import annotations
 
 import itertools
-import sys
 from array import array
 from collections import namedtuple
 from typing import Sequence
@@ -77,14 +77,20 @@ class PcClass(namedtuple("PcClass", "signature members npn_canonicals")):
         return len(self.npn_canonicals) == 1
 
 
+def _multisets(radix: int) -> list[tuple[int, ...]]:
+    """Every sorted distinct-count multiset of a radix's lines, in
+    lexicographic order (10 for radix 3); a PC key is two ranks in this list."""
+    return list(itertools.combinations_with_replacement(range(1, radix + 1), radix))
+
+
 def pc_keys(radix: int = 3) -> array:
     """PC key of every function index (19,683 ternary, 16 binary), as an
-    ``array`` of uint16 keys.
+    ``array`` of one-byte keys.
 
     The sorted distinct counts of a table's rows, and of its columns, are
-    each read as a base-(radix + 1) number, most significant count first;
-    the key is (smaller number, larger number) read as two digits of base
-    (radix + 1)**radix, so keys order functions exactly as their normalized
+    each ranked in the lexicographic list of the k multisets that can occur;
+    the key is (smaller rank) * k + (larger rank), below k * k (100 for
+    radix 3), so keys order functions exactly as their normalized
     signatures, and :func:`signature_of_key` decodes one.
 
     Each function's small numbers are the bytes of one ``bytes`` object of
@@ -98,9 +104,9 @@ def pc_keys(radix: int = 3) -> array:
     of column ``b`` is such a sum over the rows' digits ``b``, and a line
     of ``n`` distinct values adds (radix + 1)**(n - 1), so summing over the
     rows (or the columns) counts the lines of each distinct count: the
-    sorted counts, one of the few multisets that occur."""
+    sorted counts, one of the multisets."""
     base, codes = radix + 1, radix**radix
-    count, high = codes**radix, base**radix
+    count = codes**radix
     digits = [[code // radix**b % radix for b in range(radix)] for code in range(codes)]
 
     def spread(table: list[int], a: int) -> bytes:
@@ -116,35 +122,21 @@ def pc_keys(radix: int = 3) -> array:
     rows = total(spread(weight, a) for a in range(radix))
     columns = (total(spread([d[b] * radix**a for d in digits], a) for a in range(radix)) for b in range(radix))
     cols = total(c.translate(lookup(weight)) for c in columns)
-    # ascending tuples in lexicographic order, which is the order of their numbers
-    multisets = list(itertools.combinations_with_replacement(range(1, base), radix))
-    number = [sum(c * base ** (radix - 1 - i) for i, c in enumerate(m)) for m in multisets]
-    rank = [0] * high
+    multisets = _multisets(radix)
+    rank = [0] * base**radix
     for i, m in enumerate(multisets):
         rank[sum(base ** (c - 1) for c in m)] = i
     k = len(multisets)
-    # the two ranks as one byte, below k*k (100 for radix 3), then its key's two bytes
+    # the row and column ranks as one byte, i*k + j, then the smaller rank first
     pair = total([rows.translate(lookup([r * k for r in rank])), cols.translate(lookup(rank))])
-    key = [number[min(i, j)] * high + number[max(i, j)] for i in range(k) for j in range(k)]
-    # little-endian uint16: low byte first
-    halves = bytearray(2 * count)
-    halves[0::2] = pair.translate(lookup([v & 255 for v in key]))
-    halves[1::2] = pair.translate(lookup([v >> 8 for v in key]))
-    keys = array("H", halves)
-    if sys.byteorder == "big":
-        keys.byteswap()
-    return keys
+    return array("B", pair.translate(lookup([min(i, j) * k + max(i, j) for i in range(k) for j in range(k)])))
 
 
 def signature_of_key(key: int, radix: int = 3) -> PcSignature:
     """The normalized signature that :func:`pc_keys` encodes as ``key``."""
-    base = radix + 1
-
-    def counts(number: int) -> tuple[int, ...]:
-        return tuple(number // base ** (radix - 1 - i) % base for i in range(radix))
-
-    first, second = divmod(int(key), base**radix)
-    return PcSignature(counts(first), counts(second))
+    multisets = _multisets(radix)
+    first, second = divmod(int(key), len(multisets))
+    return PcSignature(multisets[first], multisets[second])
 
 
 def pc_classify_all(radix: int = 3) -> list[PcClass]:

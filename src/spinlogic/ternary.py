@@ -17,6 +17,7 @@ other spinlogic module, so every layer builds on it.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
@@ -46,6 +47,14 @@ def _check_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
+
+
+def _check_index(index: int, count: int = NUM_FUNCTIONS) -> int:
+    """``index`` as an int (a float raises ``TypeError``) in [0, count)."""
+    index = operator.index(index)
+    if not 0 <= index < count:
+        raise ValueError(f"function index must be in [0, {count - 1}], got {index}")
+    return index
 
 
 def _check_value(v: int) -> int:
@@ -104,8 +113,7 @@ def encode(f: TernaryFunction) -> int:
 
 def decode(index: int) -> TernaryFunction:
     """Inverse of :func:`encode`."""
-    if not 0 <= index < NUM_FUNCTIONS:
-        raise ValueError(f"function index must be in [0, {NUM_FUNCTIONS - 1}], got {index}")
+    index = _check_index(index)
     return TernaryFunction(tuple((index // p) % 3 - 1 for p in _POWERS))
 
 

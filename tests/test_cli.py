@@ -307,6 +307,9 @@ def test_complex_truth(capsys):
     code, out, _ = run(capsys, "complex", "truth", "1.5707963267948966")
     assert code == 0
     assert "= 0.5" in out
+    code, out, _ = run(capsys, "complex", "truth", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"ptruth": 1.0, "theta": 0.0}
 
 
 def test_complex_rejects_unencodable_magnitude(capsys):
@@ -561,6 +564,7 @@ BOUND_FIELDS_TEMPLATE = {
         ("0.5,1,2", "0.5,0,1", "tolerance must be positive"),
         ("lin:0:1:1000000000", "0.5,1,2", "1000000000 points exceeds the limit"),
         ("lin:0:1:2000", "lin:0:1:2000", "2000x2000 points exceeds the limit"),
+        ("lin:0:1", "0.5,1,2", "must be lin:start:stop:n"),
     ],
 )
 def test_invalid_bound_value_exits_2(tmp_path, capsys, command, grid_a, grid_b, word):
@@ -571,6 +575,14 @@ def test_invalid_bound_value_exits_2(tmp_path, capsys, command, grid_a, grid_b, 
         capsys, command, "--sequence", str(path), f"--grid-a={grid_a}", f"--grid-b={grid_b}", *extra
     )
     assert_one_error_line(code, out, err, word)
+
+
+@pytest.mark.parametrize("command", ["simulate", "search"])
+def test_nonpositive_omega_a_exits_2(capsys, command):
+    extra = ("--target", "all") if command == "search" else ()
+    argv = ("--sequence", "selective-delay", "--omega-a", "0", "--grid-a", TRIPLE_CSV, "--grid-b", TRIPLE_CSV)
+    code, out, err = run(capsys, command, *argv, *extra)
+    assert_one_error_line(code, out, err, "omega_a must be positive")
 
 
 @pytest.mark.parametrize("command", ["simulate", "search"])
@@ -702,8 +714,9 @@ def test_cli_exit_codes_on_fuzzed_template_files(document, grid_b, command):
 
 
 def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
-    # numpy.ma costs a new process 10-15 ms and 1 MB; plain np.unique imports
-    # it, so the class count finds its distinct rows by a sort.  Each command
+    # numpy.ma costs a new process 10-15 ms and 1 MB; np.unique imports it
+    # only when asked for neither counts nor indices, and the class count's
+    # sort for its distinct rows (faster than np.unique) loads none.  Each command
     # also loads only the layers it uses: classify and a usage error load no
     # numpy at all, classify no inspect, and no command dataclasses (each
     # dataclass took about 1 ms to build at import).  simulate and complex

@@ -50,6 +50,8 @@ def test_normalize_phase():
     assert normalize_phase(TWO_PI) == 0.0
     assert normalize_phase(-1e-18) == 0.0
     assert normalize_phase(5 * math.pi) == pytest.approx(math.pi)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        normalize_phase(math.nan)
 
 
 def test_sample_validation():

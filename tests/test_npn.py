@@ -311,6 +311,24 @@ def test_transform_validation():
         npn.apply_transform(npn.identity_transform(2), multiplication())
 
 
+@pytest.mark.parametrize("function", [decode, npn.digits_of_index, npn.canonical_index])
+def test_function_index_is_an_integer_in_range(function):
+    assert function(np.int64(5)) == function(5)
+    with pytest.raises(TypeError):
+        function(1.5)
+    for index in (NUM_FUNCTIONS, -1):
+        with pytest.raises(ValueError, match=rf"^function index must be in \[0, 19682\], got {index}$"):
+            function(index)
+
+
+def test_value_permutation_and_compose_check_their_radix():
+    assert npn.value_permutation({0: 1, 1: 0}) == (1, 0)
+    with pytest.raises(ValueError, match="mapping must cover"):
+        npn.value_permutation({0: 1, 2: 0})
+    with pytest.raises(ValueError, match="different radix"):
+        npn.compose(npn.identity_transform(2), npn.identity_transform(3))
+
+
 def test_group_values_are_immutable_named_tuples():
     t = npn.NpnTransform([1, 0, 2], (0, 1, 2), 1, (2, 1, 0))
     with pytest.raises(ValueError, match=r"^not a permutation of range\(3\): \(0, 0, 1\)$"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from array import array
 
@@ -110,7 +111,7 @@ def test_pc_keys_order_and_group_functions_as_scalar_signatures(radix):
     the distinct keys, ascending, decode to strictly ascending signatures, so
     two functions' keys compare exactly as their signatures do."""
     key = pc.pc_keys(radix)
-    assert np.asarray(key).dtype == np.uint16 and len(key) == radix ** (radix * radix)
+    assert np.asarray(key).dtype == np.uint8 and len(key) == radix ** (radix * radix)
     signatures = []
     for i in range(len(key)):
         d = npn.digits_of_index(i, radix)
@@ -126,7 +127,6 @@ def pc_keys_reference(radix):
     transpose index row by row from tables over the row codes, and the
     column counts as the row counts of the transpose."""
     base, codes = radix + 1, radix**radix
-    high = base**radix
     row_digits = [[code // radix**b % radix for b in range(radix)] for code in range(codes)]
     unsorted = array("B", [0])
     transposed = array("H", [0])
@@ -135,20 +135,19 @@ def pc_keys_reference(radix):
         unsorted = array("B", (u + c for c in counts for u in unsorted))
         spread = [sum(d * radix ** (radix * b + a) for b, d in enumerate(digits)) for digits in row_digits]
         transposed = array("H", (t + s for s in spread for t in transposed))
-    sorted_number = [
-        sum(c * base**i for i, c in enumerate(sorted((u // base**a % base for a in range(radix)), reverse=True)))
-        for u in range(high)
-    ]
-    rows = array("B", map(sorted_number.__getitem__, unsorted))
+    multisets = sorted({tuple(sorted(c)) for c in itertools.product(range(1, base), repeat=radix)})
+    k = len(multisets)
+    sorted_rank = {m: i for i, m in enumerate(multisets)}
+    rows = array("B", (sorted_rank[tuple(sorted(u // base**a % base for a in range(radix)))] for u in unsorted))
     return array(
-        "H", (r * high + c if r <= c else c * high + r for r, c in zip(rows, map(rows.__getitem__, transposed)))
+        "B", (r * k + c if r <= c else c * k + r for r, c in zip(rows, map(rows.__getitem__, transposed)))
     )
 
 
 @pytest.mark.parametrize("radix", [2, 3])
 def test_pc_keys_equal_the_row_by_row_reference(radix):
     key = pc.pc_keys(radix)
-    assert key.typecode == "H"
+    assert key.typecode == "B"
     assert key == pc_keys_reference(radix)
 
 

@@ -396,6 +396,11 @@ def test_run_peak_raises_when_a_precession_angle_overflows():
     assert np.isfinite(run_peak(a, steps[:1])[0]).all()
 
 
+def test_run_peak_rejects_an_unknown_element_type():
+    with pytest.raises(TypeError, match="unknown sequence element type"):
+        run_peak(Peak("A", 1.0), [(object, {})])
+
+
 def test_a_window_that_selects_no_peak_keeps_the_state_off_the_grid():
     system = SpinSystem((Peak("A", 1.0, t1=1.0), Peak("B", 2.0)))
     steps = [
