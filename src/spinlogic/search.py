@@ -147,8 +147,9 @@ def _histograms(codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndar
 
 def _target_cells(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row codes x <= y <= z of the wanted function indices x + 27y +
-    729z, as three arrays.  A table's rows can be put in any order within
-    its class, so these sorted cells stand for all of them."""
+    729z, as three arrays: a table's rows can be put in any order within
+    its class, so the hit search counts the ordered picks of these sorted
+    cells, and the class count those of all 3,654, by ``_repeats``."""
     index = np.flatnonzero(wanted)
     x, y, z = index % _CODES, index // _CODES % _CODES, index // _CODES**2
     ordered = (x <= y) & (y <= z)
@@ -166,51 +167,48 @@ def _distinct_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=len(ordered))
 
 
+def _repeats(x, y, z):
+    """[y=x] and [z=x] + [z=y], the repeats before a cell's 2nd and 3rd pick."""
+    return (y == x) * 1, (z == x) * 1 + (z == y)
+
+
 def _sorted_cells(rows: np.ndarray, occurs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The function index x + 27y + 729z of each of the 3,654 sorted cells
     x <= y <= z, and the number of (a-triple, b-triple) pairs of a digit grid
     of n rows, given as its distinct ``rows`` and how often each ``occurs``,
     whose a-triple's row codes under the b-triple are {x, y, z}.
 
-    A b-triple whose histogram of row codes is h holds prod C(h_c,
-    multiplicity of c) a-triples with the codes {x, y, z}: h_x*h_y*h_z for
-    x < y < z, C(h_x,2)*h_z or h_x*C(h_y,2) for one repeated code and
-    C(h_x,3) for three.  Equal rows have equal codes under every b-triple,
-    so h is the bincount of the distinct rows' codes weighted by how often
-    each occurs.  A fold over the steps of ``_steps``: for each code z, a
-    step adds the z x z corner of the (z, k) @ (k, z) product of the
-    histograms with themselves weighted by h_z, whose cells x < y are the
-    strict ones, and it adds 2*C(h,2).T @ h, whose off-diagonal cells are
-    those with one repeated code; 6*C(h,3) is its diagonal less twice the
-    summed 2*C(h,2).  So a step holds its row codes and a few (k, 27)
-    arrays, and each product is small enough for BLAS to run on one thread."""
+    A b-triple whose histogram of row codes is h holds h_x*(h_y - s1)*(h_z -
+    s2) ordered picks of distinct rows with these codes, (1 + s1)*(1 + s2)
+    per a-triple, with s1 and s2 from ``_repeats`` as in ``hit_rows``.  That
+    is h_x*h_y*h_z - s2*h_x*h_y - s1*h_x*h_z + s1*s2*h_x, so three moment
+    sums over the b-triples give the counts: T of h_x*h_y*h_z, M of h_x*h_y
+    and S of h_x.  Equal rows have equal codes under every b-triple, so h is
+    the bincount of the distinct rows' codes weighted by how often each
+    occurs.  A fold over the steps of ``_steps``: for each code z, a step
+    adds to T the (z+1) x (z+1) corner of the product of its (27, k)
+    histograms with themselves weighted by h_z, small enough for BLAS to
+    run on one thread."""
     weights = occurs.astype(np.float64)
-    strict = np.zeros((_CODES,) * 3, dtype=np.int64)  # [z, y, x]: h_x*h_y*h_z for x, y < z
-    repeated = np.zeros((_CODES, _CODES), dtype=np.int64)  # [x, z]: 2*C(h_x,2)*h_z
-    pair_sums = np.zeros(_CODES, dtype=np.int64)  # [x]: 2*C(h_x,2)
+    # T[z, y, x] for x, y <= z, M[x, y] and S[x]
+    triple, pair, single = (np.zeros((_CODES,) * d, dtype=np.int64) for d in (3, 2, 1))
     for b, codes in _steps(rows, 0):
-        h = _histograms(codes, weights)
-        # float64 arithmetic is exact while every product and partial sum is
-        # an integer below 2**53, which k * n**3 bounds; past that int64 is:
-        # a product is at most n**3 and a sum at most 6*C(n,3)*C(m,3) +
-        # n**2*C(m,3), both below 2**63 on a grid of MAX_GRID_POINTS values
+        h = np.ascontiguousarray(_histograms(codes, weights).T)  # (27, k): rows of one code
+        # float64 is exact while every product and partial sum is an integer
+        # below 2**53, which k * n**3 bounds; past that int64 is: a moment sum
+        # is at most C(m,3)*n**3 <= (n*m)**3/6 < 2**63 for n*m up to 3.8e6
         if len(b) * n**3 >= 2**53:
             h = h.astype(np.int64)
-        for z in range(2, _CODES):
-            strict[z, :z, :z] += (h[:, :z].T @ (h[:, :z] * h[:, z, None])).astype(np.int64)
-        pairs = h - 1
-        pairs *= h
-        repeated += (pairs.T @ h).astype(np.int64)
-        pair_sums += pairs.sum(axis=0).astype(np.int64)
-        del h, pairs  # before the next step's histograms
-    same = (np.diagonal(repeated) - 2 * pair_sums) // 6
-    repeated //= 2
+        for z in range(_CODES):
+            triple[z, : z + 1, : z + 1] += (h[: z + 1] @ (h[: z + 1] * h[z]).T).astype(np.int64)
+        pair += (h @ h.T).astype(np.int64)
+        single += h.sum(axis=1).astype(np.int64)
+        del h  # before the next step's histograms
     z, y, x = np.indices((_CODES,) * 3, sparse=True)
     z, y, x = np.nonzero((x <= y) & (y <= z))
-    count = np.select(
-        [x == z, x == y, y == z], [same[x], repeated[x, z], repeated[y, x]], strict[z, y, x]
-    )
-    return x + _CODES * y + _CODES**2 * z, count
+    s1, s2 = _repeats(x, y, z)
+    picks = triple[z, y, x] - s2 * pair[x, y] - s1 * pair[x, z] + s1 * s2 * single[x]
+    return x + _CODES * y + _CODES**2 * z, picks // ((1 + s1) * (1 + s2))
 
 
 def _class_counts(digits: np.ndarray) -> dict[int, int]:
@@ -251,8 +249,9 @@ def hit_rows(
     it, each step sized for its n rows and the target cells, so the (k,
     cells) picks of a step fit in STEP_CELLS.  Rows with equal codes under
     a b-triple are interchangeable, so its row-code histogram h fixes its
-    hits: a target cell x <= y <= z has h_x*(h_y - [y=x])*(h_z - [z=x] -
-    [z=y]) ordered picks of distinct rows, one from each code's bucket.  A
+    hits: a target cell x <= y <= z has h_x*(h_y - s1)*(h_z - s2) ordered
+    picks of distinct rows, one from each code's bucket, with s1 and s2
+    from ``_repeats``, and (1 + s1)*(1 + s2) picks per hit.  A
     step counts the picks of every (b-triple, cell) and expands only the
     nonzero ones, as one rank space walked in chunks of STEP_CELLS ranks:
     ``searchsorted`` over the cumulative picks finds a rank's (b-triple,
@@ -270,7 +269,7 @@ def hit_rows(
     digits = _quantized_grid(template, grid_a, grid_b, q)
     walked = _walked(digits)
     x, y, z = cells = np.stack(_target_cells(wanted))
-    skip = np.array([0 * x, y == x, (z == x) * 1 + (z == y)])  # rows an equal code took before
+    skip = np.array([0 * x, *_repeats(x, y, z)])  # rows an equal code took before
     found, kept = [np.empty((0, 7), dtype=np.int32)], 0
     for b, codes in _steps(walked, len(x)):
         h = _histograms(codes)

@@ -318,6 +318,7 @@ def document_from_dict(
     fill in or reject.  A document without placeholders has no slots."""
     if not isinstance(doc, dict):
         raise ValueError(f"document must be an object, got {doc!r}")
+    _known_fields(doc, ("peaks", "sequence"), "document")
     peaks = []
     for p in _objects(doc, "peaks"):
         _known_fields(p, ("label", "offset_rad_s", "t1_s"), "peak")
@@ -353,8 +354,9 @@ def document_from_dict(
 # alone is over budget, part of a row, so one peak's state arrays and the
 # temporaries of its element expressions stay within a few MB; per b-triple,
 # rows plus 27*27 cells plus the target cells of a hit search, which keep each
-# corner product of the class count within this many multiply-adds and the
-# (b-triple, target cell) counts of a hit-search step within this many cells;
+# moment product of the class count (a corner of T or all of M) within this
+# many multiply-adds and the (b-triple, target cell) picks of a hit-search
+# step within this many cells;
 # ranks per chunk of a hit search's expansion.  A full readout tile peaks at
 # 2.2 to 4.3 MB of float64 arrays (tracemalloc), 33 to 65 bytes per tile point
 # whatever the number of peaks.  Per grid point, output included, ``readouts``
