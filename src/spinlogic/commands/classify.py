@@ -3,6 +3,7 @@ JSON.  It loads the group layer alone, plain Python without numpy."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -137,11 +138,11 @@ def _classify_csv(report: dict) -> str:
 
 def run(args) -> int:
     report = _classify_report(args.radix)
-    if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.format == "json":  # streamed in the encoder's pieces, never joined
+        pieces = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(report), ["\n"])
     elif args.format == "csv":
-        text = _classify_csv(report)
+        pieces = [_classify_csv(report)]
     else:
-        text = _classify_text(report)
-    _emit([text], args.out)
+        pieces = [_classify_text(report)]
+    _emit(pieces, args.out)
     return 0 if report["self_check"] == "pass" else 1

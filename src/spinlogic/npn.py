@@ -81,8 +81,13 @@ class NpnTransform(CheckedTuple, namedtuple("NpnTransform", "perm_a perm_b swap_
 
     def cells(self) -> tuple[int, ...]:
         """Destination cell of each source cell ``radix*da + db``."""
-        r, s = self.radix, self.swap_inputs
-        return tuple(r * ib + ia if s else r * ia + ib for ia in self.perm_a for ib in self.perm_b)
+        return _cells(self.perm_a, self.perm_b, self.swap_inputs)
+
+
+def _cells(perm_a, perm_b, swap: bool) -> tuple[int, ...]:
+    """The cell map of a transform's input permutations and swap."""
+    r = len(perm_a)
+    return tuple(r * ib + ia if swap else r * ia + ib for ia in perm_a for ib in perm_b)
 
 
 def identity_transform(radix: int = 3) -> NpnTransform:
@@ -311,12 +316,8 @@ def fixed_point_counts(radix: int = 3) -> list[int]:
     ]
     counts = []
     for perm_a, perm_b, swap in itertools.product(perms, perms, (False, True)):
-        # its own copy of the cell map, so the count shares no code with canonical_map
-        sigma = [
-            r * perm_b[db] + perm_a[da] if swap else r * perm_a[da] + perm_b[db]
-            for da in range(r)
-            for db in range(r)
-        ]
+        # apply_to_digits's cell map: no code shared with canonical_map (_moved_rows, _transpose)
+        sigma = _cells(perm_a, perm_b, swap)
         lengths = []
         seen = [False] * (r * r)
         for start in range(r * r):

@@ -161,9 +161,7 @@ def _distinct_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by a lexsort of the rows and a comparison of neighbours, which is 3 (on
     24x24) to 20 (on 300000x3) times faster than ``np.unique(axis=0)``."""
     ordered = digits[np.lexsort(digits.T)]
-    first = np.ones(len(ordered), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1))))
     return ordered[starts], np.diff(starts, append=len(ordered))
 
 
@@ -181,33 +179,33 @@ def _sorted_cells(rows: np.ndarray, occurs: np.ndarray, n: int) -> tuple[np.ndar
     A b-triple whose histogram of row codes is h holds h_x*(h_y - s1)*(h_z -
     s2) ordered picks of distinct rows with these codes, (1 + s1)*(1 + s2)
     per a-triple, with s1 and s2 from ``_repeats`` as in ``hit_rows``.  That
-    is h_x*h_y*h_z - s2*h_x*h_y - s1*h_x*h_z + s1*s2*h_x, so three moment
-    sums over the b-triples give the counts: T of h_x*h_y*h_z, M of h_x*h_y
-    and S of h_x.  Equal rows have equal codes under every b-triple, so h is
-    the bincount of the distinct rows' codes weighted by how often each
-    occurs.  A fold over the steps of ``_steps``: for each code z, a step
-    adds to T the (z+1) x (z+1) corner of the product of its (27, k)
+    is h_x*h_y*h_z - s2*h_x*h_y - s1*h_x*h_z + s1*s2*h_x: given a unit code u
+    that every b-triple holds once (h_u = 1), all three terms are entries of
+    one moment sum over the b-triples, T[z, y, x] of h_x*h_y*h_z, as T[u, y,
+    x] and T[u, u, x].  Equal rows have equal codes under every b-triple, so
+    h is the bincount of the distinct rows' codes weighted by how often each
+    occurs.  A fold over the steps of ``_steps``: for each of the 28 codes z,
+    a step adds to T the (z+1) x (z+1) corner of the product of its (28, k)
     histograms with themselves weighted by h_z, small enough for BLAS to
-    run on one thread."""
-    weights = occurs.astype(np.float64)
-    # T[z, y, x] for x, y <= z, M[x, y] and S[x]
-    triple, pair, single = (np.zeros((_CODES,) * d, dtype=np.int64) for d in (3, 2, 1))
+    run on one thread but for the 28 x 28 corner on fewer than 56 rows."""
+    weights, unit = occurs.astype(np.float64), _CODES
+    triple = np.zeros((unit + 1,) * 3, dtype=np.int64)  # T[z, y, x] for x, y <= z
     for b, codes in _steps(rows, 0):
-        h = np.ascontiguousarray(_histograms(codes, weights).T)  # (27, k): rows of one code
+        h = np.ones((unit + 1, len(b)))  # C-contiguous (28, k): a row per code, the unit code's last
+        h[:unit] = _histograms(codes, weights).T
         # float64 is exact while every product and partial sum is an integer
         # below 2**53, which k * n**3 bounds; past that int64 is: a moment sum
         # is at most C(m,3)*n**3 <= (n*m)**3/6 < 2**63 for n*m up to 3.8e6
         if len(b) * n**3 >= 2**53:
             h = h.astype(np.int64)
-        for z in range(_CODES):
+        for z in range(unit + 1):
             triple[z, : z + 1, : z + 1] += (h[: z + 1] @ (h[: z + 1] * h[z]).T).astype(np.int64)
-        pair += (h @ h.T).astype(np.int64)
-        single += h.sum(axis=1).astype(np.int64)
         del h  # before the next step's histograms
     z, y, x = np.indices((_CODES,) * 3, sparse=True)
     z, y, x = np.nonzero((x <= y) & (y <= z))
     s1, s2 = _repeats(x, y, z)
-    picks = triple[z, y, x] - s2 * pair[x, y] - s1 * pair[x, z] + s1 * s2 * single[x]
+    m = triple[unit]  # m[y, x]: the sum of h_x*h_y, m[unit, x]: that of h_x
+    picks = triple[z, y, x] - s2 * m[y, x] - s1 * m[z, x] + s1 * s2 * m[unit, x]
     return x + _CODES * y + _CODES**2 * z, picks // ((1 + s1) * (1 + s2))
 
 
@@ -258,12 +256,13 @@ def hit_rows(
     cell), and mixed radix its picks, as offsets into the rows stably
     sorted by code, where bucket v starts at cumsum(h) - h.  A pick is kept
     only if its positions ascend, so each a-triple comes once where codes
-    repeat.  A transposed walk's rows are mapped back at the end, their
-    triples swapped and their index transposed, and all rows are sorted
-    into triple order.  Once the hits counted so far pass MAX_GRID_POINTS
-    the walk drops its rows and expands no further step, and then raises a
-    ValueError that names the exact number of hits, counted by the rest of
-    the same walk."""
+    repeat; a chunk stacks its kept picks' rows (ascending), b-triple and
+    function index as int32 rows.  A transposed walk's rows are mapped back
+    at the end, their triples swapped and their index transposed, and all
+    rows are sorted into triple order.  Once the hits counted so far pass
+    MAX_GRID_POINTS the walk drops its rows and expands no further step, and
+    then raises a ValueError that names the exact number of hits, counted
+    by the rest of the same walk."""
     classes = {npn.canonical_index(t) for t in targets}
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
@@ -290,21 +289,19 @@ def hit_rows(
             rank = np.arange(start, min(start + STEP_CELLS, ends[-1]))
             pair = ends.searchsorted(rank, "right")
             rank -= ends[pair] - picks[pair]  # the rank within its (b-triple, cell)
-            pos = np.empty((3, len(rank)), dtype=np.intp)
-            rank, pos[2] = np.divmod(rank, radix[2, pair])
-            pos[0], pos[1] = np.divmod(rank, radix[1, pair])
-            pos += offset.take(pair, axis=1)  # sorted positions of the picked rows
+            rank, last = np.divmod(rank, radix[2, pair])
+            # sorted positions of the picked rows
+            pos = np.stack((*np.divmod(rank, radix[1, pair]), last)) + offset[:, pair]
             keep = (pos[0] < pos[1]) & (pos[1] < pos[2])
             col = l[pair[keep]]
-            # ascending by a min/max network, 6 times faster than np.sort(axis=0)
+            # ascending by a min/max network: 6 times faster than np.sort(axis=0),
+            # and without its sort kernel's pages, 0.3 MB of a search's max RSS
             i, j, k = order[pos[:, keep], col]
             i, j = np.minimum(i, j), np.maximum(i, j)
             j, k = np.minimum(j, k), np.maximum(j, k)
             i, j = np.minimum(i, j), np.maximum(i, j)
-            rows = np.empty((7, len(col)), dtype=np.int32)  # column-major, one transpose
-            rows[0], rows[1], rows[2], rows[3:6] = i, j, k, b[col].T
-            rows[6] = _CODES ** np.arange(3) @ codes[rows[:3], col]
-            found.append(rows.T)
+            index = _CODES ** np.arange(3) @ codes[[i, j, k], col]  # uint8 codes, widened
+            found.append(np.stack((i, j, k, *b[col].T, index), axis=1, dtype=np.int32))
     if kept > MAX_GRID_POINTS:
         raise ValueError(f"search has {kept} hits, more than the limit of {MAX_GRID_POINTS}")
     found = np.concatenate(found)
@@ -353,6 +350,6 @@ def achievable_classes(
     Counted from row-code histograms over the distinct rows (see
     ``_class_counts``) rather than pair by pair: for m the grid's shorter
     axis and d the distinct rows along the longer one, the cost is about
-    O(C(m,3) * (d + 27**3/3)) instead of O(C(n,3) * C(m,3)), and each step's
+    O(C(m,3) * (d + 28**3/3)) instead of O(C(n,3) * C(m,3)), and each step's
     working memory is bounded by STEP_CELLS, whatever the grid size."""
     return _class_counts(_quantized_grid(template, grid_a, grid_b, q))

@@ -354,9 +354,9 @@ def document_from_dict(
 # alone is over budget, part of a row, so one peak's state arrays and the
 # temporaries of its element expressions stay within a few MB; per b-triple,
 # rows plus 27*27 cells plus the target cells of a hit search, which keep each
-# moment product of the class count (a corner of T or all of M) within this
-# many multiply-adds and the (b-triple, target cell) picks of a hit-search
-# step within this many cells;
+# moment product of the class count (a corner of T, the largest 28x28 over the
+# 27 codes and the unit code) within 7 % of this many multiply-adds and the
+# (b-triple, target cell) picks of a hit-search step within this many cells;
 # ranks per chunk of a hit search's expansion.  A full readout tile peaks at
 # 2.2 to 4.3 MB of float64 arrays (tracemalloc), 33 to 65 bytes per tile point
 # whatever the number of peaks.  Per grid point, output included, ``readouts``

@@ -853,8 +853,8 @@ def test_class_count_working_memory_does_not_grow_with_the_step():
 def test_class_count_traced_peak_on_the_benchmark_grid():
     # the 24x24 two-pulse grid of the benchmark's class count: over all 24
     # rows with a 27**3 float64 step tensor and its int64 copy the count
-    # traced 940 KB; over its 23 distinct rows and three moment sums, 475 KB,
-    # bounded here with a margin of about 14 %
+    # traced 940 KB; over its 23 distinct rows and one 28**3 moment tensor (27
+    # codes and a unit code), 487 KB, bounded here with a margin of about 11 %
     grid = [2 * math.pi * k / 23 for k in range(24)]
     digits = search._quantized_grid(two_pulse_template(), grid, grid, Quantizer())
     npn.canonical_map(3)
