@@ -116,44 +116,46 @@ def _walked(digits: np.ndarray) -> np.ndarray:
     return digits.T if digits.shape[1] > digits.shape[0] else digits
 
 
-def _steps(digits: np.ndarray, cells: int):
+def _steps(digits: np.ndarray, cells: int, weights: np.ndarray | None = None):
     """The one walk over the b-triples of a digit grid of n rows, which the
-    class count and the hit search each fold: (b, codes) per step, ``b`` a
-    (k, 3) chunk of b-triples in lexicographic order and ``codes`` the (n,
-    k) row codes (0..26) of all n rows under them, the digits at each
-    triple's three columns read as a little-endian base-3 number.  The table
-    of a-triple (i, j, k) and b-triple l has function index
+    class count and the hit search each fold: (b, codes, h) per step, ``b``
+    a (k, 3) chunk of b-triples in lexicographic order, ``codes`` the (n, k)
+    row codes (0..26) of all n rows under them, the digits at each triple's
+    three columns read as a little-endian base-3 number, and ``h`` their
+    (k, 27) histograms, one per b-triple, from one ``bincount``: int64
+    counts, or float64 sums that count row i ``weights[i]`` times.  The
+    table of a-triple (i, j, k) and b-triple l has function index
     ``codes[i, l] + 27*codes[j, l] + 729*codes[k, l]``.
 
     A step takes k = STEP_CELLS // (n + 27*27 + cells) b-triples, at least
-    one, for a fold that works per b-triple on its n row codes, at most
-    27*27 cells and ``cells`` target cells, so a step stays within
-    STEP_CELLS cells whatever the grid size and the targets, and each
-    b-triple is made once."""
+    one: per b-triple its n row codes, an allowance of 27*27 cells and the
+    ``cells`` target cells of a hit search, so each b-triple is made once
+    and a step stays near STEP_CELLS cells whatever the grid and targets:
+    the hit search holds 27 histogram entries of the allowance, the count's
+    28 x 28 moment corner 7 % more, past STEP_CELLS only below 56 rows."""
     size = max(1, STEP_CELLS // (len(digits) + _CODES * _CODES + cells))
     for b in _triples(digits.shape[1], size):
-        yield b, digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]]
+        codes, k = digits[:, b[:, 0]] + 3 * digits[:, b[:, 1]] + 9 * digits[:, b[:, 2]], len(b)
+        # one expression, so no bins or tiled weights outlive the yield
+        yield b, codes, np.bincount(
+            (codes.T + _CODES * np.arange(k)[:, None]).ravel(),
+            None if weights is None else np.tile(weights, k),
+            minlength=k * _CODES,
+        ).reshape(k, _CODES)
 
 
-def _histograms(codes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """The (k, 27) histograms of a step's (n, k) row codes, one per b-triple;
-    given float ``weights``, row i counts ``weights[i]`` times (float64)."""
-    k = codes.shape[1]
-    bins = codes.T + _CODES * np.arange(k)[:, None]
-    if weights is not None:
-        weights = np.tile(weights, k)
-    return np.bincount(bins.ravel(), weights, minlength=k * _CODES).reshape(k, _CODES)
-
-
-def _target_cells(wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _target_cells(wanted: np.ndarray) -> tuple[np.ndarray, ...]:
     """The row codes x <= y <= z of the wanted function indices x + 27y +
-    729z, as three arrays: a table's rows can be put in any order within
-    its class, so the hit search counts the ordered picks of these sorted
-    cells, and the class count those of all 3,654, by ``_repeats``."""
-    index = np.flatnonzero(wanted)
-    x, y, z = index % _CODES, index // _CODES % _CODES, index // _CODES**2
-    ordered = (x <= y) & (y <= z)
-    return x[ordered], y[ordered], z[ordered]
+    729z, in ascending index order, and the repeats s1 = [y=x] and s2 =
+    [z=x] + [z=y] of each cell, as five arrays.  A table's rows can be put
+    in any order within its class, so both folds count ordered picks of
+    distinct rows, one from each code's bucket: a b-triple whose row-code
+    histogram is h holds h_x*(h_y - s1)*(h_z - s2) in a cell (s1 and s2
+    rows of an equal code were picked before), (1 + s1)*(1 + s2) per
+    a-triple."""
+    z, y, x = np.indices((_CODES,) * 3, sparse=True)
+    z, y, x = np.nonzero((x <= y) & (y <= z) & wanted.reshape((_CODES,) * 3))
+    return x, y, z, (y == x) * 1, (z == x) * 1 + (z == y)
 
 
 def _distinct_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,47 +167,38 @@ def _distinct_rows(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts], np.diff(starts, append=len(ordered))
 
 
-def _repeats(x, y, z):
-    """[y=x] and [z=x] + [z=y], the repeats before a cell's 2nd and 3rd pick."""
-    return (y == x) * 1, (z == x) * 1 + (z == y)
-
-
 def _sorted_cells(rows: np.ndarray, occurs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The function index x + 27y + 729z of each of the 3,654 sorted cells
     x <= y <= z, and the number of (a-triple, b-triple) pairs of a digit grid
     of n rows, given as its distinct ``rows`` and how often each ``occurs``,
     whose a-triple's row codes under the b-triple are {x, y, z}.
 
-    A b-triple whose histogram of row codes is h holds h_x*(h_y - s1)*(h_z -
-    s2) ordered picks of distinct rows with these codes, (1 + s1)*(1 + s2)
-    per a-triple, with s1 and s2 from ``_repeats`` as in ``hit_rows``.  That
-    is h_x*h_y*h_z - s2*h_x*h_y - s1*h_x*h_z + s1*s2*h_x: given a unit code u
+    A cell's picks (``_target_cells``) under a b-triple with histogram h are
+    h_x*h_y*h_z - s2*h_x*h_y - s1*h_x*h_z + s1*s2*h_x: given a unit code u
     that every b-triple holds once (h_u = 1), all three terms are entries of
     one moment sum over the b-triples, T[z, y, x] of h_x*h_y*h_z, as T[u, y,
     x] and T[u, u, x].  Equal rows have equal codes under every b-triple, so
-    h is the bincount of the distinct rows' codes weighted by how often each
-    occurs.  A fold over the steps of ``_steps``: for each of the 28 codes z,
-    a step adds to T the (z+1) x (z+1) corner of the product of its (28, k)
-    histograms with themselves weighted by h_z, small enough for BLAS to
-    run on one thread but for the 28 x 28 corner on fewer than 56 rows."""
-    weights, unit = occurs.astype(np.float64), _CODES
-    triple = np.zeros((unit + 1,) * 3, dtype=np.int64)  # T[z, y, x] for x, y <= z
-    for b, codes in _steps(rows, 0):
-        h = np.ones((unit + 1, len(b)))  # C-contiguous (28, k): a row per code, the unit code's last
-        h[:unit] = _histograms(codes, weights).T
+    h counts the distinct rows weighted by how often each occurs.  A fold
+    over ``_steps``: for each of the 28 codes z, a step adds to T the (z+1)
+    x (z+1) corner of the product of its (28, k) histograms with themselves
+    weighted by h_z, small enough for BLAS to run on one thread but for the
+    28 x 28 corner on fewer than 56 rows."""
+    triple = np.zeros((_CODES + 1,) * 3, dtype=np.int64)  # T[z, y, x] for x, y <= z
+    for b, _, hist in _steps(rows, 0, occurs.astype(np.float64)):
+        h = np.ones((_CODES + 1, len(b)))  # C-contiguous (28, k): a row per code, the unit code's last
+        h[:_CODES] = hist.T
+        del hist  # the step's own histograms, before the corner products
         # float64 is exact while every product and partial sum is an integer
         # below 2**53, which k * n**3 bounds; past that int64 is: a moment sum
         # is at most C(m,3)*n**3 <= (n*m)**3/6 < 2**63 for n*m up to 3.8e6
         if len(b) * n**3 >= 2**53:
             h = h.astype(np.int64)
-        for z in range(unit + 1):
+        for z in range(_CODES + 1):
             triple[z, : z + 1, : z + 1] += (h[: z + 1] @ (h[: z + 1] * h[z]).T).astype(np.int64)
         del h  # before the next step's histograms
-    z, y, x = np.indices((_CODES,) * 3, sparse=True)
-    z, y, x = np.nonzero((x <= y) & (y <= z))
-    s1, s2 = _repeats(x, y, z)
-    m = triple[unit]  # m[y, x]: the sum of h_x*h_y, m[unit, x]: that of h_x
-    picks = triple[z, y, x] - s2 * m[y, x] - s1 * m[z, x] + s1 * s2 * m[unit, x]
+    x, y, z, s1, s2 = _target_cells(np.ones(_CODES**3, dtype=bool))
+    m = triple[_CODES]  # m[y, x]: the sum of h_x*h_y, m[u, x]: that of h_x
+    picks = triple[z, y, x] - s2 * m[y, x] - s1 * m[z, x] + s1 * s2 * m[_CODES, x]
     return x + _CODES * y + _CODES**2 * z, picks // ((1 + s1) * (1 + s2))
 
 
@@ -247,10 +240,8 @@ def hit_rows(
     it, each step sized for its n rows and the target cells, so the (k,
     cells) picks of a step fit in STEP_CELLS.  Rows with equal codes under
     a b-triple are interchangeable, so its row-code histogram h fixes its
-    hits: a target cell x <= y <= z has h_x*(h_y - s1)*(h_z - s2) ordered
-    picks of distinct rows, one from each code's bucket, with s1 and s2
-    from ``_repeats``, and (1 + s1)*(1 + s2) picks per hit.  A
-    step counts the picks of every (b-triple, cell) and expands only the
+    hits, the picks of each target cell (``_target_cells``).  A step
+    counts the picks of every (b-triple, cell) and expands only the
     nonzero ones, as one rank space walked in chunks of STEP_CELLS ranks:
     ``searchsorted`` over the cumulative picks finds a rank's (b-triple,
     cell), and mixed radix its picks, as offsets into the rows stably
@@ -267,12 +258,11 @@ def hit_rows(
     wanted = np.isin(np.asarray(npn.canonical_map(3)), list(classes))
     digits = _quantized_grid(template, grid_a, grid_b, q)
     walked = _walked(digits)
-    x, y, z = cells = np.stack(_target_cells(wanted))
-    skip = np.array([0 * x, *_repeats(x, y, z)])  # rows an equal code took before
+    x, y, z, s1, s2 = _target_cells(wanted)
+    cells, skip = np.stack((x, y, z)), np.stack((0 * x, s1, s2))  # skip: rows an equal code took before
     found, kept = [np.empty((0, 7), dtype=np.int32)], 0
-    for b, codes in _steps(walked, len(x)):
-        h = _histograms(codes)
-        picks = h[:, x] * (h[:, y] - skip[1]) * (h[:, z] - skip[2])
+    for b, codes, h in _steps(walked, len(x)):
+        picks = h[:, x] * (h[:, y] - s1) * (h[:, z] - s2)
         l, cell = np.nonzero(picks)
         if not len(l):
             continue

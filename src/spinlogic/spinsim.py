@@ -353,11 +353,12 @@ def document_from_dict(
 # a readout tile holds STEP_CELLS // 4 points, whole rows or, when one row
 # alone is over budget, part of a row, so one peak's state arrays and the
 # temporaries of its element expressions stay within a few MB; per b-triple,
-# rows plus 27*27 cells plus the target cells of a hit search, which keep each
-# moment product of the class count (a corner of T, the largest 28x28 over the
-# 27 codes and the unit code) within 7 % of this many multiply-adds and the
-# (b-triple, target cell) picks of a hit-search step within this many cells;
-# ranks per chunk of a hit search's expansion.  A full readout tile peaks at
+# its rows, an allowance of 27*27 cells and the target cells of a hit search,
+# whose step holds 27 histogram entries and its (b-triple, target cell) picks
+# in this many cells, while the class count's largest moment product, the
+# 28x28 corner over the 27 codes and the unit code, exceeds the allowance by
+# 7 %, past this many multiply-adds only below 56 rows; ranks per chunk of a
+# hit search's expansion.  A full readout tile peaks at
 # 2.2 to 4.3 MB of float64 arrays (tracemalloc), 33 to 65 bytes per tile point
 # whatever the number of peaks.  Per grid point, output included, ``readouts``
 # takes 18.4 to 20.6 bytes on 512x512 single- and two-pulse grids, 14.2 on a

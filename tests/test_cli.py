@@ -392,6 +392,32 @@ def test_classify_report_bytes_are_pinned(capsys, radix, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[radix, fmt]
 
 
+# The benchmark's seed-1 grids, drawn with every readout more than 1e-9 from a
+# quantization threshold, so the bytes do not depend on the last bit of libm:
+# the class count of the 24x24 two-pulse grid and the 1,472 multiplication
+# hits of the 12x12 single-pulse grid.
+SEARCH_ARGV = {
+    "all": ("--sequence", "two-pulse", "--phi1", "4.71238898038469", "--beta2", "1.5707963267948966",
+            "--grid-a", "lin:0.8577011354533484:7.140886442632935:24",
+            "--grid-b", "lin:4.321292176165669:10.604477483345256:24", "--target", "all"),
+    "multiplication": ("--sequence", "single-pulse", "--grid-a", "lin:3.7149:9.998085307179586:12",
+                       "--grid-b", "lin:1.5757:7.8588853071795866:12", "--target", "multiplication"),
+}
+SEARCH_SHA256 = {
+    ("all", "json"): "6566a79db7aabbc2bd41b0ed5823d89864df2265339e810eb61628833ebc45df",
+    ("all", "csv"): "fc4760a887dda270292b20e9162b16ddcbe6b1d4e6b3f31d75f17cc8c06e1964",
+    ("multiplication", "json"): "679c62317d8b980975836026f4f8c392f9158284ba91ba44611120aaaabafc1c",
+    ("multiplication", "csv"): "5fcb21b6fe91774f361a16b409268718d77b58e2112a9f32d8d41fc6e4eefa55",
+}
+
+
+@pytest.mark.parametrize("target, fmt", sorted(SEARCH_SHA256))
+def test_search_report_bytes_are_pinned(capsys, target, fmt):
+    code, out, _ = run(capsys, "search", *SEARCH_ARGV[target], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SEARCH_SHA256[target, fmt]
+
+
 def classify_report_from_classes(radix):
     """The classify report built from the class objects of
     ``npn.classify_all`` and ``pc.pc_classify_all``, members and all."""

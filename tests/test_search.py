@@ -258,6 +258,52 @@ def test_histogram_counts_equal_pairwise_counts(digits):
     assert sum(got.values()) == math.comb(n, 3) * math.comb(m, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(digit_grids(), st.sampled_from([1, 7, 64, search.STEP_CELLS]), st.data())
+def test_each_step_yields_the_histograms_of_its_row_codes(digits, step_cells, data):
+    # the histograms both folds read: integer counts for the hit search, and
+    # float64 sums over the distinct rows' weights for the class count, whose
+    # float64/int64 exactness switch relies on that dtype
+    n, m = digits.shape
+    weights = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n)), dtype=np.float64)
+    for w in (None, weights):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "STEP_CELLS", step_cells)
+            steps = list(search._steps(digits, 0, w))
+        assert np.concatenate([b for b, _, _ in steps]).tolist() == [
+            list(t) for t in itertools.combinations(range(m), 3)
+        ]
+        for b, codes, h in steps:
+            assert codes.tolist() == [[int(row[i] + 3 * row[j] + 9 * row[k]) for i, j, k in b] for row in digits]
+            assert h.shape == (len(b), 27)
+            for l in range(len(b)):
+                if w is None:
+                    assert h.dtype.kind == "i"
+                    assert np.array_equal(h[l], np.bincount(codes[:, l], minlength=27))
+                else:
+                    assert h.dtype == np.float64
+                    assert np.array_equal(h[l], np.bincount(codes[:, l], w, 27))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.integers(0, 27**3 - 1), max_size=400)
+    | st.sets(st.sampled_from(sorted(set(npn.canonical_map(3)))), max_size=6).map(
+        lambda classes: set(np.flatnonzero(np.isin(npn.canonical_map(3), sorted(classes))).tolist())
+    )
+)
+@example(set(range(27**3)))  # all 3,654 sorted cells, as the class count reads them
+def test_target_cells_are_the_sorted_cells_of_the_wanted_indices(indices):
+    wanted = np.zeros(27**3, dtype=bool)
+    wanted[sorted(indices)] = True
+    expected = []
+    for index in sorted(indices):
+        x, y, z = index % 27, index // 27 % 27, index // 729
+        if x <= y <= z:
+            expected.append((x, y, z, int(y == x), int(z == x) + int(z == y)))
+    assert list(zip(*(a.tolist() for a in search._target_cells(wanted)))) == expected
+
+
 def _tensor_class_counts(digits):
     """Oracle of the class count: the ordered 27**3 tensor fold over all n
     rows and all b-triples at once.  Cell (x, y, z) sums h_x*h_y*h_z less
@@ -523,7 +569,7 @@ def test_count_and_expand_working_memory():
     # against the constant class's 3 cells, where the 492 hits traced 343 KB
     grid = [2 * math.pi * k / 13 for k in range(14)]
     assert math.comb(13, 3) < search.STEP_CELLS // (14 + 27 * 27) == 352 < math.comb(14, 3)
-    x, _, _ = search._target_cells(np.isin(npn.canonical_map(3), [0]))
+    x, *_ = search._target_cells(np.isin(npn.canonical_map(3), [0]))
     assert search.STEP_CELLS // len(x) > 352
     assert search.STEP_CELLS // (14 + 27 * 27 + len(x)) == 351
     tracemalloc.start()
