@@ -19,6 +19,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _json(value, indent: str = "\n"):
+    """Text pieces of ``json.dumps(value, sort_keys=True, indent=2)``, for a
+    report made of dicts, lists, bools, ints, finite floats and strings that
+    need no escape: a number is its ``repr``, as in ``json.dumps``, and a
+    string its quoted self.  Writing a JSON report with these instead of the
+    ``json`` package saves a process about 0.25 MB of max RSS.  ``indent`` is
+    the line break and indent of the closing bracket of ``value``."""
+    if isinstance(value, str):
+        yield f'"{value}"'
+    elif isinstance(value, bool):
+        yield "true" if value else "false"
+    elif not value or not isinstance(value, (dict, list)):
+        yield repr(value)  # a number, or an empty container: "{}" or "[]"
+    else:
+        is_dict = isinstance(value, dict)
+        items = [(f'"{k}": ', value[k]) for k in sorted(value)] if is_dict else [("", v) for v in value]
+        inner = indent + "  "
+        for i, (head, item) in enumerate(items):
+            yield ("," if i else "{" if is_dict else "[") + inner + head
+            yield from _json(item, inner)
+        yield indent + ("}" if is_dict else "]")
+
+
 def _emit(pieces, out: str | None) -> None:
     """Write a report's text pieces, in order, to stdout or to the file ``out``."""
     if out in (None, "-"):

@@ -4,12 +4,11 @@ JSON.  It loads the group layer alone, plain Python without numpy."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 
 from .. import npn, pc
-from . import _emit
+from . import _emit, _json
 
 
 def _classify_report(radix: int) -> dict:
@@ -138,8 +137,8 @@ def _classify_csv(report: dict) -> str:
 
 def run(args) -> int:
     report = _classify_report(args.radix)
-    if args.format == "json":  # streamed in the encoder's pieces, never joined
-        pieces = itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(report), ["\n"])
+    if args.format == "json":  # streamed in pieces, never joined
+        pieces = itertools.chain(_json(report), ["\n"])
     elif args.format == "csv":
         pieces = [_classify_csv(report)]
     else:

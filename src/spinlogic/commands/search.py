@@ -4,9 +4,9 @@ every class.  It loads the group, spin and search layers and numpy."""
 
 from __future__ import annotations
 
-import json
+import itertools
 
-from . import _emit, _fmt
+from . import _emit, _fmt, _json
 from .grid import _template_and_grids
 
 # the group and search layers before numpy (the search layer loads it last),
@@ -28,10 +28,12 @@ def _hit_report(rows, grid_a: list[float], grid_b: list[float], fmt: str):
     few hundred rows per piece, one format string per row.  Byte-identical to
     ``json.dumps(hits, sort_keys=True, indent=2) + "\n"`` of a list of hit
     objects, or to the CSV of one line per hit; each grid value is formatted
-    once, and each class's canonical and size come from the canonical map."""
+    once, in JSON as its ``repr`` (what ``json.dumps`` writes for a finite
+    float, and the template rejects any other grid value), and each class's
+    canonical and size come from the canonical map."""
     as_json = fmt == "json"
     if as_json:
-        value_text, head, sep, tail = json.dumps, "[\n", ",\n", "\n]\n"
+        value_text, head, sep, tail = repr, "[\n", ",\n", "\n]\n"
         line = (
             '  {\n    "a_values": [\n      %s,\n      %s,\n      %s\n    ],\n'
             '    "b_values": [\n      %s,\n      %s,\n      %s\n    ],\n'
@@ -80,13 +82,13 @@ def run(args) -> int:
             if size
         ]
         if args.format == "json":
-            text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+            pieces = itertools.chain(_json(rows), ["\n"])
         else:
             lines = ["canonical,size,achievable,tables"]
             for r in rows:
                 lines.append(f"{r['canonical']},{r['size']},{str(r['achievable']).lower()},{r['tables']}")
-            text = "\n".join(lines) + "\n"
-        _emit([text], args.out)
+            pieces = ["\n".join(lines) + "\n"]
+        _emit(pieces, args.out)
         return 0
 
     target = _resolve_target(args.target)

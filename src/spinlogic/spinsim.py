@@ -34,7 +34,6 @@ tables.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from typing import Union
@@ -417,6 +416,8 @@ class SequenceTemplate:
 
     @classmethod
     def from_json(cls, text: str) -> "SequenceTemplate":
+        import json  # only a template file needs the json package
+
         try:
             document = json.loads(text)
         except RecursionError:

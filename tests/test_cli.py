@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import spinlogic
 from spinlogic import npn, pc, search
+from spinlogic.commands import _json
 from spinlogic.commands import classify as classify_command
 from spinlogic.commands import search as search_command
 from spinlogic.commands import simulate as simulate_command
@@ -380,6 +381,7 @@ CLASSIFY_SHA256 = {
     (3, "json"): "36c13643116a637583a0c63d0f56b0abcd28a1f354def9182190dff59bf8d5b0",
     (3, "table"): "f87920adabb6055b931057e54d4f2c32a0daf352fe23fa74fe70ee0f41e6150d",
     (3, "csv"): "89c7b3e8b186dd6e8115b24f0b95962c40a971b4276d2e5827a34af85faa3d8a",
+    (2, "json"): "3fa4785a1e8fe2bf34014983448e00ab7b6f03d6037259924937e8e964e65650",
     (2, "table"): "3fffe17b22772dad08ab0d0eddbdef3dd1e43aeb94bbbe22a544f34b61a2e715",
     (2, "csv"): "fa30180bb00fc299a566f2ad2a67fa48876bd2387db06d62cc1d3ddd70031a6e",
 }
@@ -513,6 +515,73 @@ def test_classify_fails_its_self_check_when_a_function_changes_class(monkeypatch
     code, out, _ = run(capsys, "classify", "--radix", "3", "--format", "json")
     assert code == 1
     assert json.loads(out)["self_check"] == "fail"
+
+
+def json_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+JSON_SCALARS = (
+    st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text("abz_- 09", max_size=6)  # strings that need no escape
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("abz_", max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"a": [], "b": {}, "c": [[], [{}]], "d": [-0.0, 5e-324, 1e300], "e": [True, False, 0, 1]})
+@given(JSON_VALUES)
+def test_json_pieces_equal_json_dumps(value):
+    assert "".join(_json(value)) + "\n" == json_dumps(value)
+
+
+@pytest.mark.parametrize("radix", [2, 3])
+def test_classify_json_report_equals_json_dumps(monkeypatch, capsys, radix):
+    code, out, _ = run(capsys, "classify", "--radix", str(radix), "--format", "json")
+    assert code == 0 and out == json_dumps(classify_report_from_classes(radix))
+    # and of a report whose self-check fails: one function moved to a key that
+    # no canonical carries, so one PC class spans no NPN class (an empty list)
+    original = pc.pc_keys
+
+    def one_function_moved(r):
+        key = array("H", original(r))
+        key[next(f for f, c in enumerate(npn.canonical_map(r)) if c != f)] = key[0] + 1
+        return key
+
+    monkeypatch.setattr(pc, "pc_keys", one_function_moved)
+    report = classify_command._classify_report(radix)
+    assert report["self_check"] == "fail" and [] in (c["npn_canonicals"] for c in report["pc_classes"])
+    code, out, _ = run(capsys, "classify", "--radix", str(radix), "--format", "json")
+    assert code == 1 and out == json_dumps(report)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ("--sequence", "single-pulse", "--grid-a", "0.0," + TRIPLE_CSV, "--grid-b", "0.0," + TRIPLE_CSV),
+        ("--sequence", "two-pulse", "--grid-a", "lin:0:6.283185307179586:8",
+         "--grid-b", "lin:0:6.283185307179586:9"),
+        ("--sequence", "two-pulse", "--phi1", "0.3", "--grid-a", "lin:0:6.283185307179586:30",
+         "--grid-b", "0.5,1.5,2.5"),
+        ("--sequence", "selective-delay", "--grid-a", "lin:0:1:8", "--grid-b", "lin:2:7:8"),
+    ],
+)
+def test_search_all_json_report_equals_json_dumps_of_its_csv_rows(capsys, grid):
+    code, out, _ = run(capsys, "search", *grid, "--target", "all", "--format", "csv")
+    assert code == 0
+    rows = [
+        {"canonical": int(c), "size": int(size), "achievable": {"true": True, "false": False}[a], "tables": int(t)}
+        for c, size, a, t in (line.split(",") for line in out.splitlines()[1:])
+    ]
+    assert len(rows) == 84 and not all(r["achievable"] for r in rows)
+    code, out, _ = run(capsys, "search", *grid, "--target", "all", "--format", "json")
+    assert code == 0 and out == json_dumps(rows)
 
 
 def test_classify_exits_1_when_the_burnside_count_fails_its_check(monkeypatch, capsys):
@@ -751,10 +820,12 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
     # its own command module and none of the other three; a usage error or a
     # help text loads none.  No command finds a spinlogic module once numpy
     # has begun to load: a module is compiled right after it is found, and
-    # one compiled after numpy left about 1 MB more max RSS.
+    # one compiled after numpy left about 1 MB more max RSS.  Of classify,
+    # simulate and search only a run on a template file loads json: they write
+    # their JSON reports as text pieces, which saves about 0.25 MB of max RSS.
     grid = "lin:0:6.283185307179586:8"
     layers = ["spinlogic.search", "spinlogic.spinsim", "spinlogic.complexlogic"]
-    numpy_commands = ["numpy.ma", "dataclasses", "spinlogic.complexlogic", "spinlogic.pc"]
+    numpy_commands = ["numpy.ma", "dataclasses", "spinlogic.complexlogic", "spinlogic.pc", "json"]
     spin_only = ["numpy.ma", "dataclasses", "spinlogic.search", "spinlogic.npn", "spinlogic.pc"]
     names = ["classify", "simulate", "search", "complex"]
     no_command = ["spinlogic.commands", *(f"spinlogic.commands.{n}" for n in names)]
@@ -774,7 +845,7 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
     )
     commands = [
         (["classify", "--radix", "3"], 0,
-         ["numpy", "dataclasses", "inspect", *layers, "spinlogic.commands.grid", *others("classify")]),
+         ["numpy", "dataclasses", "inspect", "json", *layers, "spinlogic.commands.grid", *others("classify")]),
         (["search"], 2, ["numpy", *layers, "spinlogic.pc", *no_command]),
         *(([name, "--help"], 0, ["numpy", *layers, "spinlogic.npn", "spinlogic.pc", *no_command])
           for name in names),
@@ -787,7 +858,7 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
         (["search", "--sequence", "two-pulse", "--grid-a", grid, "--grid-b", grid, "--target", "all"],
          0, [*numpy_commands, *others("search")]),
         (["simulate", "--sequence", "selective-delay", "--grid-a", grid, "--grid-b", grid], 0,
-         [*spin_only, "spinlogic.complexlogic", *others("simulate")]),
+         [*spin_only, "spinlogic.complexlogic", "json", *others("simulate")]),
         (["simulate", "--sequence", str(template), "--grid-a", grid, "--grid-b", grid], 0,
          [*spin_only, "spinlogic.complexlogic", *others("simulate")]),
         (["complex", "mul", "0.8", "1.0471975511965976", "0.5", "3.141592653589793"], 0,
@@ -797,6 +868,7 @@ def test_classify_and_hit_search_do_not_import_numpy_ma(tmp_path):
     for argv, code, unused in commands:
         # a run that gets past the parser loads the module of its command
         used = [] if code or "--help" in argv else [f"spinlogic.commands.{argv[0]}"]
+        used += ["json"] if str(template) in argv else []
         script = (
             "import contextlib, io, sys\n"
             "late = []\n"
